@@ -1,12 +1,14 @@
 /// Micro-benchmarks (google-benchmark) for the substrate engines: ClassAd
-/// parse/eval/matchmaking, LDAP filter evaluation and DIT search, SQL
-/// parse/execute, and the discrete-event kernel's event throughput.
+/// parse/eval/matchmaking/lookup, the Hawkeye Agent's collection, LDAP
+/// filter evaluation and DIT search, SQL parse/execute, and the
+/// discrete-event kernel's event throughput.
 
 #include <benchmark/benchmark.h>
 
 #include "gridmon/classad/classad.hpp"
 #include "gridmon/classad/matchmaker.hpp"
 #include "gridmon/classad/parser.hpp"
+#include "gridmon/hawkeye/module.hpp"
 #include "gridmon/ldap/dit.hpp"
 #include "gridmon/rdbms/database.hpp"
 #include "gridmon/sim/ps_server.hpp"
@@ -64,6 +66,44 @@ void BM_ClassAdMatchmakingScan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ClassAdMatchmakingScan)->Arg(100)->Arg(1000);
+
+// The Startd ad an Agent collection builds from `modules`.
+classad::ClassAd startd_ad(const std::vector<hawkeye::ModuleSpec>& modules,
+                           std::uint64_t seq) {
+  std::vector<classad::ClassAd> parts;
+  parts.reserve(modules.size());
+  for (const auto& m : modules) {
+    parts.push_back(hawkeye::run_module(m, seq, 50.0));
+  }
+  return hawkeye::build_startd_ad("lucky4.mcs.anl.gov", std::move(parts));
+}
+
+// Name lookup over the default install's 82-attribute Startd ad, cycling
+// through every attribute.
+void BM_ClassAdLookup(benchmark::State& state) {
+  const classad::ClassAd ad = startd_ad(hawkeye::default_modules(), 1);
+  const std::vector<std::string> names = ad.names();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ad.lookup(names[i]));
+    if (++i == names.size()) i = 0;
+  }
+}
+BENCHMARK(BM_ClassAdLookup);
+
+// ---- Hawkeye ----
+
+// One Agent collection, which every Agent query repeats: each module's
+// fragment, the Startd ad built from them, and the reply's wire size.
+void BM_HawkeyeCollect(benchmark::State& state) {
+  const auto modules =
+      hawkeye::scaled_modules(static_cast<int>(state.range(0)));
+  std::uint64_t seq = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(startd_ad(modules, ++seq).wire_bytes());
+  }
+}
+BENCHMARK(BM_HawkeyeCollect)->Arg(11)->Arg(98);
 
 // ---- LDAP ----
 

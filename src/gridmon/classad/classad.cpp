@@ -9,12 +9,37 @@ namespace gridmon::classad {
 ClassAd& ClassAd::operator=(const ClassAd& other) {
   if (this == &other) return *this;
   attrs_.clear();
-  order_.clear();
-  for (const auto& name : other.order_) {
-    attrs_.emplace(name, other.attrs_.at(name)->clone());
-    order_.push_back(name);
+  attrs_.reserve(other.attrs_.size());
+  for (const auto& a : other.attrs_) {
+    attrs_.push_back({a.name, a.key, a.expr->clone()});
   }
   return *this;
+}
+
+std::uint64_t ClassAd::key_of(std::string_view name) noexcept {
+  std::uint64_t h = 14695981039346656037ull;  // FNV-1a
+  for (char c : name) {
+    h ^= static_cast<unsigned char>(fold(c));
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+std::size_t ClassAd::find(std::string_view name,
+                          std::uint64_t key) const noexcept {
+  for (std::size_t i = 0; i < attrs_.size(); ++i) {
+    if (attrs_[i].key == key && istrcmp(attrs_[i].name, name) == 0) return i;
+  }
+  return attrs_.size();
+}
+
+void ClassAd::put(std::string&& name, std::uint64_t key, ExprPtr expr) {
+  std::size_t i = find(name, key);
+  if (i < attrs_.size()) {
+    attrs_[i].expr = std::move(expr);
+  } else {
+    attrs_.push_back({std::move(name), key, std::move(expr)});
+  }
 }
 
 ClassAd ClassAd::parse(std::string_view text) {
@@ -59,57 +84,50 @@ ClassAd ClassAd::parse(std::string_view text) {
       throw ParseError("classad line missing attribute name");
     }
     name.resize(ne + 1);
-    ad.insert_text(name, line.substr(eq + 1));
+    ad.insert_text(std::move(name), line.substr(eq + 1));
   }
   return ad;
 }
 
-void ClassAd::insert(const std::string& name, ExprPtr expr) {
-  auto [it, inserted] = attrs_.insert_or_assign(name, std::move(expr));
-  if (inserted) order_.push_back(name);
+void ClassAd::insert(std::string name, ExprPtr expr) {
+  const std::uint64_t key = key_of(name);
+  put(std::move(name), key, std::move(expr));
 }
 
-void ClassAd::insert_text(const std::string& name,
-                          std::string_view expr_text) {
-  insert(name, parse_expression(expr_text));
+void ClassAd::insert_text(std::string name, std::string_view expr_text) {
+  insert(std::move(name), parse_expression(expr_text));
 }
 
-void ClassAd::insert(const std::string& name, std::int64_t v) {
-  insert(name, std::make_unique<LiteralExpr>(Value::integer(v)));
+void ClassAd::insert(std::string name, std::int64_t v) {
+  insert(std::move(name), std::make_unique<LiteralExpr>(Value::integer(v)));
 }
-void ClassAd::insert(const std::string& name, double v) {
-  insert(name, std::make_unique<LiteralExpr>(Value::real(v)));
+void ClassAd::insert(std::string name, double v) {
+  insert(std::move(name), std::make_unique<LiteralExpr>(Value::real(v)));
 }
-void ClassAd::insert(const std::string& name, bool v) {
-  insert(name, std::make_unique<LiteralExpr>(Value::boolean(v)));
+void ClassAd::insert(std::string name, bool v) {
+  insert(std::move(name), std::make_unique<LiteralExpr>(Value::boolean(v)));
 }
-void ClassAd::insert(const std::string& name, const std::string& v) {
-  insert(name, std::make_unique<LiteralExpr>(Value::string(v)));
+void ClassAd::insert(std::string name, const std::string& v) {
+  insert(std::move(name), std::make_unique<LiteralExpr>(Value::string(v)));
 }
-void ClassAd::insert(const std::string& name, const char* v) {
-  insert(name, std::make_unique<LiteralExpr>(Value::string(v)));
+void ClassAd::insert(std::string name, const char* v) {
+  insert(std::move(name), std::make_unique<LiteralExpr>(Value::string(v)));
 }
 
-bool ClassAd::erase(const std::string& name) {
-  auto it = attrs_.find(name);
-  if (it == attrs_.end()) return false;
-  for (auto oit = order_.begin(); oit != order_.end(); ++oit) {
-    if (istrcmp(*oit, name) == 0) {
-      order_.erase(oit);
-      break;
-    }
-  }
-  attrs_.erase(it);
+bool ClassAd::erase(std::string_view name) {
+  std::size_t i = find(name, key_of(name));
+  if (i == attrs_.size()) return false;
+  attrs_.erase(attrs_.begin() + static_cast<std::ptrdiff_t>(i));
   return true;
 }
 
-bool ClassAd::contains(const std::string& name) const {
-  return attrs_.find(name) != attrs_.end();
+bool ClassAd::contains(std::string_view name) const {
+  return find(name, key_of(name)) < attrs_.size();
 }
 
-const Expr* ClassAd::lookup(const std::string& name) const {
-  auto it = attrs_.find(name);
-  return it == attrs_.end() ? nullptr : it->second.get();
+const Expr* ClassAd::lookup(std::string_view name) const {
+  std::size_t i = find(name, key_of(name));
+  return i < attrs_.size() ? attrs_[i].expr.get() : nullptr;
 }
 
 Value ClassAd::evaluate(const std::string& name, const ClassAd* target,
@@ -129,26 +147,40 @@ Value ClassAd::evaluate_expr(const Expr& e, const ClassAd* target,
 }
 
 void ClassAd::update(const ClassAd& other) {
-  for (const auto& name : other.order_) {
-    insert(name, other.attrs_.at(name)->clone());
+  for (const auto& a : other.attrs_) {
+    put(std::string(a.name), a.key, a.expr->clone());
   }
 }
 
-std::vector<std::string> ClassAd::names() const { return order_; }
+void ClassAd::update(ClassAd&& other) {
+  if (this == &other) return;
+  for (auto& a : other.attrs_) put(std::move(a.name), a.key, std::move(a.expr));
+  other.attrs_.clear();
+}
+
+std::vector<std::string> ClassAd::names() const {
+  std::vector<std::string> out;
+  for (const auto& a : attrs_) out.push_back(a.name);
+  return out;
+}
 
 std::string ClassAd::to_string() const {
   std::string out;
-  for (const auto& name : order_) {
-    out += name;
+  for (const auto& a : attrs_) {
+    out += a.name;
     out += " = ";
-    out += attrs_.at(name)->to_string();
+    out += a.expr->to_string();
     out += '\n';
   }
   return out;
 }
 
 double ClassAd::wire_bytes() const {
-  return static_cast<double>(to_string().size());
+  std::size_t n = 0;
+  for (const auto& a : attrs_) {
+    n += a.name.size() + a.expr->to_string().size() + 4;  // " = ", '\n'
+  }
+  return static_cast<double>(n);
 }
 
 }  // namespace gridmon::classad

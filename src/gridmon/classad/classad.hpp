@@ -1,12 +1,13 @@
 #pragma once
 
 /// \file classad.hpp
-/// The ClassAd itself: an ordered, case-insensitive map from attribute
-/// names to expressions, with old-syntax ("Attr = expr" per line) parsing
-/// and printing.
+/// The ClassAd itself: named expressions in one insertion-ordered vector,
+/// with old-syntax ("Attr = expr" per line) parsing and printing. Names
+/// match case-insensitively (ASCII); a replace keeps the first spelling and
+/// slot. Each name is folded and hashed once when stored, so a lookup
+/// hashes the query once and scans 64-bit keys.
 
-#include <map>
-#include <optional>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,23 +30,23 @@ class ClassAd {
   static ClassAd parse(std::string_view text);
 
   /// Insert (or replace) an attribute with an already-built expression.
-  void insert(const std::string& name, ExprPtr expr);
+  void insert(std::string name, ExprPtr expr);
   /// Insert (or replace) an attribute parsed from expression text.
-  void insert_text(const std::string& name, std::string_view expr_text);
+  void insert_text(std::string name, std::string_view expr_text);
   /// Shorthands for literal values.
-  void insert(const std::string& name, std::int64_t v);
-  void insert(const std::string& name, double v);
-  void insert(const std::string& name, bool v);
-  void insert(const std::string& name, const std::string& v);
-  void insert(const std::string& name, const char* v);
+  void insert(std::string name, std::int64_t v);
+  void insert(std::string name, double v);
+  void insert(std::string name, bool v);
+  void insert(std::string name, const std::string& v);
+  void insert(std::string name, const char* v);
 
-  bool erase(const std::string& name);
-  bool contains(const std::string& name) const;
+  bool erase(std::string_view name);
+  bool contains(std::string_view name) const;
   std::size_t size() const noexcept { return attrs_.size(); }
   bool empty() const noexcept { return attrs_.empty(); }
 
   /// The raw expression bound to `name`, or nullptr.
-  const Expr* lookup(const std::string& name) const;
+  const Expr* lookup(std::string_view name) const;
 
   /// Evaluate attribute `name` with this ad as MY and an optional TARGET.
   Value evaluate(const std::string& name, const ClassAd* target = nullptr,
@@ -57,6 +58,8 @@ class ClassAd {
 
   /// Merge: copy every attribute of `other` into this ad (overwriting).
   void update(const ClassAd& other);
+  /// Merge by moving `other`'s expressions in instead of cloning them.
+  void update(ClassAd&& other);
 
   /// Attribute names in insertion order.
   std::vector<std::string> names() const;
@@ -68,15 +71,18 @@ class ClassAd {
   double wire_bytes() const;
 
  private:
-  struct NameLess {
-    bool operator()(const std::string& a, const std::string& b) const {
-      return istrcmp(a, b) < 0;
-    }
+  struct Attr {
+    std::string name;  // as first spelled
+    std::uint64_t key;  // hash of the folded name
+    ExprPtr expr;
   };
 
-  // Map for lookup plus a vector for stable order.
-  std::map<std::string, ExprPtr, NameLess> attrs_;
-  std::vector<std::string> order_;
+  static std::uint64_t key_of(std::string_view name) noexcept;
+  /// Index of the attribute called `name` (hashed to `key`), or size().
+  std::size_t find(std::string_view name, std::uint64_t key) const noexcept;
+  void put(std::string&& name, std::uint64_t key, ExprPtr expr);
+
+  std::vector<Attr> attrs_;
 };
 
 }  // namespace gridmon::classad

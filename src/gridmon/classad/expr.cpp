@@ -1,17 +1,12 @@
 #include "gridmon/classad/expr.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 
 #include "gridmon/classad/classad.hpp"
 
 namespace gridmon::classad {
 namespace {
-
-char lower(char c) {
-  return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-}
 
 /// Promote booleans to integers for arithmetic/ordering, per classic
 /// Condor behaviour (TRUE behaves as 1).
@@ -155,10 +150,10 @@ const char* binary_op_name(BinaryOp op) {
 
 }  // namespace
 
-int istrcmp(const std::string& a, const std::string& b) {
+int istrcmp(std::string_view a, std::string_view b) {
   std::size_t n = std::min(a.size(), b.size());
   for (std::size_t i = 0; i < n; ++i) {
-    char ca = lower(a[i]), cb = lower(b[i]);
+    char ca = fold(a[i]), cb = fold(b[i]);
     if (ca != cb) return ca < cb ? -1 : 1;
   }
   if (a.size() == b.size()) return 0;
@@ -320,7 +315,7 @@ std::string TernaryExpr::to_string() const {
 Value CallExpr::evaluate(EvalContext& ctx) const {
   std::string fn;
   fn.reserve(name_.size());
-  for (char c : name_) fn.push_back(lower(c));
+  for (char c : name_) fn.push_back(fold(c));
 
   std::vector<Value> args;
   args.reserve(args_.size());
@@ -398,9 +393,9 @@ Value CallExpr::evaluate(EvalContext& ctx) const {
   if ((fn == "toupper" || fn == "tolower") && need(1) && args[0].is_string()) {
     std::string out = args[0].as_string();
     for (char& c : out) {
-      c = (fn == "toupper")
-              ? static_cast<char>(std::toupper(static_cast<unsigned char>(c)))
-              : lower(c);
+      c = (fn == "tolower")        ? fold(c)
+          : (c >= 'a' && c <= 'z') ? static_cast<char>(c - ('a' - 'A'))
+                                   : c;
     }
     return Value::string(std::move(out));
   }

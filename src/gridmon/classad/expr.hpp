@@ -12,6 +12,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gridmon/classad/value.hpp"
@@ -168,7 +169,14 @@ class CallExpr final : public Expr {
 /// numbers C-style (nonzero is true), strings are ERROR.
 Value to_logical(const Value& v);
 
+/// Locale-free ASCII case folding: 'A'..'Z' become 'a'..'z', every other
+/// byte (including bytes >= 0x80) is unchanged. Every case-insensitive
+/// comparison in the ClassAd layer folds through this one helper.
+constexpr char fold(char c) noexcept {
+  return (c >= 'A' && c <= 'Z') ? static_cast<char>(c + ('a' - 'A')) : c;
+}
+
 /// Case-insensitive ASCII string comparison (ClassAd string semantics).
-int istrcmp(const std::string& a, const std::string& b);
+int istrcmp(std::string_view a, std::string_view b);
 
 }  // namespace gridmon::classad

@@ -1,19 +1,12 @@
 #include "gridmon/classad/parser.hpp"
 
-#include <cctype>
+#include <algorithm>
 
 namespace gridmon::classad {
 namespace {
 
-bool iequals(const std::string& a, const char* b) {
-  std::size_t i = 0;
-  for (; i < a.size() && b[i] != '\0'; ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
-  }
-  return i == a.size() && b[i] == '\0';
+bool iequals(std::string_view a, std::string_view b) {
+  return istrcmp(a, b) == 0;
 }
 
 class Parser {
@@ -44,119 +37,107 @@ class Parser {
     }
   }
 
+  // Nesting bound: deeper input would overflow the stack, here or in the
+  // tree's recursive evaluate, to_string and destructor. `depth_` counts
+  // open recursion levels; `height_` is the height of the subtree parsed
+  // last, which the left-associative loop grows without recursing.
+  static constexpr int kMaxNesting = 1000;
+
+  void bound(int n) const {
+    if (n <= kMaxNesting) return;
+    throw ParseError("expression nested deeper than " +
+                     std::to_string(kMaxNesting) + " near offset " +
+                     std::to_string(peek().offset));
+  }
+
+  struct Nest {
+    explicit Nest(Parser& owner) : parser(owner) {
+      parser.bound(++parser.depth_);
+    }
+    ~Nest() { --parser.depth_; }
+    Parser& parser;
+  };
+
+  /// Record a new node above children whose tallest is `child` high.
+  void grow(int child) { bound(height_ = child + 1); }
+
   ExprPtr expression() {
-    ExprPtr cond = or_expr();
+    Nest nest(*this);
+    ExprPtr cond = binary(0);
     if (match(TokenKind::Question)) {
+      const int ch = height_;
       ExprPtr then_e = expression();
+      const int th = height_;
       expect(TokenKind::Colon, "':' in conditional");
       ExprPtr else_e = expression();
+      grow(std::max({ch, th, height_}));
       return std::make_unique<TernaryExpr>(std::move(cond), std::move(then_e),
                                            std::move(else_e));
     }
     return cond;
   }
 
-  ExprPtr or_expr() {
-    ExprPtr lhs = and_expr();
-    while (match(TokenKind::Or)) {
-      lhs = std::make_unique<BinaryExpr>(BinaryOp::Or, std::move(lhs),
-                                         and_expr());
-    }
-    return lhs;
-  }
+  struct BinarySpelling {
+    TokenKind token;
+    BinaryOp op;
+    int level;  // precedence, loosest first
+  };
+  static constexpr int kLevels = 5;
+  static constexpr BinarySpelling kBinary[] = {
+      {TokenKind::Or, BinaryOp::Or, 0},
+      {TokenKind::And, BinaryOp::And, 1},
+      {TokenKind::Less, BinaryOp::Less, 2},
+      {TokenKind::LessEq, BinaryOp::LessEq, 2},
+      {TokenKind::Greater, BinaryOp::Greater, 2},
+      {TokenKind::GreaterEq, BinaryOp::GreaterEq, 2},
+      {TokenKind::Equal, BinaryOp::Equal, 2},
+      {TokenKind::NotEqual, BinaryOp::NotEqual, 2},
+      {TokenKind::MetaEqual, BinaryOp::MetaEqual, 2},
+      {TokenKind::MetaNotEqual, BinaryOp::MetaNotEqual, 2},
+      {TokenKind::Plus, BinaryOp::Add, 3},
+      {TokenKind::Minus, BinaryOp::Subtract, 3},
+      {TokenKind::Star, BinaryOp::Multiply, 4},
+      {TokenKind::Slash, BinaryOp::Divide, 4},
+      {TokenKind::Percent, BinaryOp::Modulus, 4},
+  };
 
-  ExprPtr and_expr() {
-    ExprPtr lhs = cmp_expr();
-    while (match(TokenKind::And)) {
-      lhs = std::make_unique<BinaryExpr>(BinaryOp::And, std::move(lhs),
-                                         cmp_expr());
-    }
-    return lhs;
-  }
-
-  ExprPtr cmp_expr() {
-    ExprPtr lhs = add_expr();
+  /// One precedence level: operands of the next tighter level, joined
+  /// left-associatively by this level's operators.
+  ExprPtr binary(int level) {
+    if (level == kLevels) return unary();
+    ExprPtr lhs = binary(level + 1);
     for (;;) {
-      BinaryOp op;
-      switch (peek().kind) {
-        case TokenKind::Less:
-          op = BinaryOp::Less;
-          break;
-        case TokenKind::LessEq:
-          op = BinaryOp::LessEq;
-          break;
-        case TokenKind::Greater:
-          op = BinaryOp::Greater;
-          break;
-        case TokenKind::GreaterEq:
-          op = BinaryOp::GreaterEq;
-          break;
-        case TokenKind::Equal:
-          op = BinaryOp::Equal;
-          break;
-        case TokenKind::NotEqual:
-          op = BinaryOp::NotEqual;
-          break;
-        case TokenKind::MetaEqual:
-          op = BinaryOp::MetaEqual;
-          break;
-        case TokenKind::MetaNotEqual:
-          op = BinaryOp::MetaNotEqual;
-          break;
-        default:
-          return lhs;
+      const BinarySpelling* spelled = nullptr;
+      for (const auto& b : kBinary) {
+        if (b.level == level && b.token == peek().kind) spelled = &b;
       }
+      if (spelled == nullptr) return lhs;
       advance();
-      lhs = std::make_unique<BinaryExpr>(op, std::move(lhs), add_expr());
-    }
-  }
-
-  ExprPtr add_expr() {
-    ExprPtr lhs = mul_expr();
-    for (;;) {
-      if (match(TokenKind::Plus)) {
-        lhs = std::make_unique<BinaryExpr>(BinaryOp::Add, std::move(lhs),
-                                           mul_expr());
-      } else if (match(TokenKind::Minus)) {
-        lhs = std::make_unique<BinaryExpr>(BinaryOp::Subtract, std::move(lhs),
-                                           mul_expr());
-      } else {
-        return lhs;
-      }
-    }
-  }
-
-  ExprPtr mul_expr() {
-    ExprPtr lhs = unary();
-    for (;;) {
-      if (match(TokenKind::Star)) {
-        lhs = std::make_unique<BinaryExpr>(BinaryOp::Multiply, std::move(lhs),
-                                           unary());
-      } else if (match(TokenKind::Slash)) {
-        lhs = std::make_unique<BinaryExpr>(BinaryOp::Divide, std::move(lhs),
-                                           unary());
-      } else if (match(TokenKind::Percent)) {
-        lhs = std::make_unique<BinaryExpr>(BinaryOp::Modulus, std::move(lhs),
-                                           unary());
-      } else {
-        return lhs;
-      }
+      const int lh = height_;
+      ExprPtr rhs = binary(level + 1);
+      grow(std::max(lh, height_));
+      lhs = std::make_unique<BinaryExpr>(spelled->op, std::move(lhs),
+                                         std::move(rhs));
     }
   }
 
   ExprPtr unary() {
+    while (match(TokenKind::Plus)) continue;  // unary plus is a no-op
+    UnaryOp op = UnaryOp::Not;
     if (match(TokenKind::Minus)) {
-      return std::make_unique<UnaryExpr>(UnaryOp::Negate, unary());
+      op = UnaryOp::Negate;
+    } else if (!match(TokenKind::Not)) {
+      return primary();
     }
-    if (match(TokenKind::Not)) {
-      return std::make_unique<UnaryExpr>(UnaryOp::Not, unary());
-    }
-    if (match(TokenKind::Plus)) return unary();
-    return primary();
+    Nest nest(*this);
+    ExprPtr operand = unary();
+    grow(height_);
+    return std::make_unique<UnaryExpr>(op, std::move(operand));
   }
 
   ExprPtr primary() {
     const Token& t = peek();
+    height_ = 1;
     switch (t.kind) {
       case TokenKind::IntegerLiteral:
         advance();
@@ -209,11 +190,15 @@ class Parser {
     if (check(TokenKind::LParen)) {
       advance();
       std::vector<ExprPtr> args;
+      int tallest = 0;
       if (!check(TokenKind::RParen)) {
-        args.push_back(expression());
-        while (match(TokenKind::Comma)) args.push_back(expression());
+        do {
+          args.push_back(expression());
+          tallest = std::max(tallest, height_);
+        } while (match(TokenKind::Comma));
       }
       expect(TokenKind::RParen, "')' after arguments");
+      grow(tallest);
       return std::make_unique<CallExpr>(t.text, std::move(args));
     }
     return std::make_unique<AttrRefExpr>(AttrScope::Default, t.text);
@@ -221,6 +206,8 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
+  int height_ = 0;
 };
 
 }  // namespace

@@ -221,6 +221,36 @@ TEST(ExprParseTest, Errors) {
   EXPECT_THROW(parse_expression("@"), LexError);
 }
 
+TEST(ExprParseTest, DeepNestingIsAParseErrorNotACrash) {
+  const std::size_t n = 100000;
+  std::string parens = std::string(n, '(') + "1" + std::string(n, ')');
+  EXPECT_THROW(parse_expression(parens), ParseError);
+
+  std::string sum = "1";
+  sum.reserve(2 * 1000001);
+  for (int i = 0; i < 1000000; ++i) sum += "+1";
+  EXPECT_THROW(parse_expression(sum), ParseError);
+
+  std::string negs = std::string(n, '-') + "1";
+  EXPECT_THROW(parse_expression(negs), ParseError);
+  std::string ternary;
+  for (std::size_t i = 0; i < n; ++i) ternary += "1?1:";
+  EXPECT_THROW(parse_expression(ternary + "1"), ParseError);
+}
+
+TEST(ExprParseTest, NestingUpToTheBoundStillParses) {
+  // The bound is 1000: 999 parentheses inside the top-level expression,
+  // and a 1000-term sum (999 '+' nodes above the leaves).
+  std::string parens = std::string(999, '(') + "1" + std::string(999, ')');
+  EXPECT_EQ(eval(parens).as_integer(), 1);
+  EXPECT_THROW(parse_expression("(" + parens + ")"), ParseError);
+  std::string sum = "1";
+  for (int i = 0; i < 999; ++i) sum += "+1";
+  EXPECT_EQ(eval(sum).as_integer(), 1000);
+  EXPECT_EQ(parse_expression(sum)->to_string().size(), 5 * 999 + 1000u);
+  EXPECT_THROW(parse_expression(sum + "+1"), ParseError);
+}
+
 TEST(ExprParseTest, PrecedenceAndAssociativity) {
   EXPECT_EQ(eval("2 + 3 * 4 - 1").as_integer(), 13);
   EXPECT_EQ(eval("20 - 5 - 3").as_integer(), 12);  // left assoc

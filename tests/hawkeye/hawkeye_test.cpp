@@ -41,6 +41,18 @@ TEST(ModuleTest, StartdAdIntegratesAllModules) {
   EXPECT_GT(ad.size(), 11u * 6u);
 }
 
+TEST(ModuleTest, StartdAdFromMovedPartsMatchesCopiedParts) {
+  for (int count : {11, 98}) {
+    auto specs = count == 11 ? default_modules() : scaled_modules(count);
+    std::vector<classad::ClassAd> parts;
+    for (const auto& spec : specs) parts.push_back(run_module(spec, 7, 42.0));
+    auto copied = build_startd_ad("lucky4.mcs.anl.gov", parts);
+    auto moved = build_startd_ad("lucky4.mcs.anl.gov", std::move(parts));
+    EXPECT_EQ(moved.to_string(), copied.to_string()) << count;
+    EXPECT_EQ(moved.wire_bytes(), copied.wire_bytes()) << count;
+  }
+}
+
 TEST(AgentTest, QueryCollectsFreshData) {
   Testbed tb;
   Agent agent(tb.network(), tb.host("lucky4"), tb.nic("lucky4"), "lucky4",
