@@ -1,7 +1,9 @@
 #include "gridmon/core/frontier.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 
 namespace gridmon::core {
@@ -21,7 +23,7 @@ constexpr std::uint64_t kFlagTimeout = 1u << 2;
 constexpr std::uint64_t kFlagFailed = 1u << 3;
 constexpr std::uint64_t kFlagStale = 1u << 4;
 
-// User FSM states (SoA byte per user).
+// User FSM states (ClientShard::User::state).
 constexpr std::uint8_t kThinking = 0;  // timer armed: issue next query
 constexpr std::uint8_t kWaiting = 1;   // attempt in flight, no timer
 constexpr std::uint8_t kBackoff = 2;   // timer armed: retry the query
@@ -45,32 +47,39 @@ std::uint64_t frontier_mix(std::uint64_t seed, std::uint64_t uid,
 
 }  // namespace
 
-/// One client shard: contiguous struct-of-arrays user slabs plus a
-/// timer heap whose keys are (fire time, uid) — canonical across shard
-/// counts. At most one timer per user is live (users are either
-/// thinking, backing off, or waiting on the gateway), so the heap never
-/// needs cancellation.
+/// One client shard: a 16-byte record per user plus a calendar queue
+/// (Brown 1988) of timers: a ring of `width`-wide buckets spanning
+/// `horizon`, the longest delay a user can arm, plus two, so every timer
+/// lands within one lap. The open bucket is sorted latest-first and
+/// fires from the back in (at, slot) order: within a shard, (at, uid).
 struct FrontierWorkload::ClientShard final : sim::ShardRunner {
-  ClientShard(FrontierWorkload& owner_ref, int group_index)
-      : owner(owner_ref), index(group_index) {}
+  ClientShard(FrontierWorkload& owner_ref, int group_index, double horizon)
+      : owner(owner_ref), index(group_index), width(owner.lookahead_) {
+    while (std::ceil(horizon / width) + 2 > 1 << 14) width *= 2;  // ring cap
+    ring.resize(static_cast<std::size_t>(std::ceil(horizon / width)) + 2);
+  }
 
   FrontierWorkload& owner;
   int index;  // this shard's id inside the group (1-based)
+  const std::uint64_t shards =  // K: user uid lives in slot uid / K
+      static_cast<std::uint64_t>(owner.config_.shards);
   sim::SimTime now_ = 0;
 
-  // SoA user slabs, indexed by local slot (= uid / shard count).
-  std::vector<std::uint64_t> uids;
-  std::vector<std::uint8_t> states;
-  std::vector<std::uint16_t> retries;
-  std::vector<std::uint32_t> draws;
-  std::vector<double> query_starts;
-
-  struct Timer {
-    double at;
-    std::uint64_t uid;
-    std::uint32_t local;
+  struct User {
+    double query_start = 0;
+    std::uint32_t draws = 0;  // per-user RNG counter
+    std::uint16_t retries = 0;
+    std::uint8_t state = kThinking;
   };
-  std::vector<Timer> heap;  // min-heap on (at, uid)
+  static_assert(sizeof(User) == 16);
+  std::vector<User> users;
+
+  using Timer = std::pair<double, std::uint32_t>;  // (at, slot)
+  static constexpr std::greater<> later{};  // bucket order: latest first
+  std::vector<std::vector<Timer>> ring;
+  double width;            // bucket width, sim seconds
+  std::uint64_t head = 0;  // absolute number of the head bucket
+  bool open = false;       // head bucket sorted (not yet, while seeding)
 
   std::vector<FrontierCompletion> completions;  // in (t, uid) order
   std::uint64_t queries = 0;
@@ -78,86 +87,97 @@ struct FrontierWorkload::ClientShard final : sim::ShardRunner {
   std::uint64_t timeouts = 0;
   std::uint64_t failures = 0;
 
-  static bool timer_after(const Timer& x, const Timer& y) {
-    if (x.at != y.at) return x.at > y.at;
-    return x.uid > y.uid;
+  std::uint64_t uid_of(std::uint32_t slot) const {
+    return slot * shards + static_cast<std::uint64_t>(index - 1);
+  }
+  std::uint64_t bucket_of(double at) const {
+    return static_cast<std::uint64_t>(at / width);
   }
 
-  double draw01(std::uint32_t local) {
-    std::uint64_t z = frontier_mix(owner.seed_, uids[local], draws[local]++);
+  double draw01(std::uint32_t slot) {
+    std::uint64_t z =
+        frontier_mix(owner.seed_, uid_of(slot), users[slot].draws++);
     return static_cast<double>(z >> 11) * 0x1.0p-53;
   }
 
-  void arm(double at, std::uint32_t local) {
-    heap.push_back(Timer{at, uids[local], local});
-    std::push_heap(heap.begin(), heap.end(), timer_after);
+  /// `at` >= now_: never behind the head bucket, and in order if open.
+  void arm(double at, std::uint32_t slot) {
+    std::uint64_t b = bucket_of(at);
+    assert(b >= head && b - head < ring.size());
+    std::vector<Timer>& bucket = ring[b % ring.size()];
+    Timer t{at, slot};
+    bucket.insert(b == head && open
+                      ? std::upper_bound(bucket.begin(), bucket.end(), t, later)
+                      : bucket.end(),
+                  t);
   }
 
-  void add_user(std::uint64_t uid, double start_after) {
-    std::uint32_t local = static_cast<std::uint32_t>(uids.size());
-    uids.push_back(uid);
-    states.push_back(kThinking);
-    retries.push_back(0);
-    draws.push_back(0);
-    query_starts.push_back(0);
+  void add_user(double start_after) {
+    if (users.empty()) head = bucket_of(start_after);
+    std::uint32_t slot = static_cast<std::uint32_t>(users.size());
+    users.emplace_back();
     // Desynchronized start, like the legacy workload's initial delay.
-    arm(start_after + draw01(local) * owner.config_.think_time, local);
+    arm(start_after + draw01(slot) * owner.config_.think_time, slot);
   }
 
   /// Timer expiry: a Thinking user starts a fresh query, a Backoff user
   /// retries the current one; both send one request to the gateway.
-  void fire(std::uint32_t local) {
-    if (states[local] == kThinking) {
+  void fire(std::uint32_t slot) {
+    User& u = users[slot];
+    if (u.state == kThinking) {
       ++queries;
-      retries[local] = 0;
-      query_starts[local] = now_;
+      u.retries = 0;
+      u.query_start = now_;
     }
-    states[local] = kWaiting;
+    u.state = kWaiting;
     owner.group_->post(
         index, 0,
-        sim::ShardMessage{now_ + owner.lookahead_, uids[local], 0,
+        sim::ShardMessage{now_ + owner.lookahead_, uid_of(slot), 0,
                           kMsgRequest, 0, 0, 0});
   }
 
   sim::SimTime now() const override { return now_; }
 
+  /// A bucket drained before the one holding `until` frees its storage
+  /// (kept, each would grow to its busiest lap) and the next one opens.
   std::size_t run(sim::SimTime until) override {
     std::size_t fired = 0;
-    while (!heap.empty() && heap.front().at <= until) {
-      Timer t = heap.front();
-      std::pop_heap(heap.begin(), heap.end(), timer_after);
-      heap.pop_back();
-      now_ = t.at;
-      fire(t.local);
-      ++fired;
+    for (const std::uint64_t last = bucket_of(until);; ++head, open = false) {
+      std::vector<Timer>& bucket = ring[head % ring.size()];
+      if (!open) std::sort(bucket.begin(), bucket.end(), later);
+      open = true;
+      for (; !bucket.empty() && bucket.back().first <= until; ++fired) {
+        now_ = bucket.back().first;
+        fire(bucket.back().second);
+        bucket.pop_back();
+      }
+      if (!bucket.empty() || head >= last) break;
+      std::vector<Timer>().swap(bucket);
     }
     if (until > now_) now_ = until;
     return fired;
   }
 
   void deliver(const sim::ShardMessage& m) override {
-    std::uint32_t local = static_cast<std::uint32_t>(
-        m.uid / static_cast<std::uint64_t>(owner.config_.shards));
+    std::uint32_t slot = static_cast<std::uint32_t>(m.uid / shards);
+    User& u = users[slot];
     if (m.a & kFlagOk) {
       completions.push_back(FrontierCompletion{
-          now_, now_ - query_starts[local], m.f, m.uid,
-          (m.a & kFlagStale) != 0});
-      states[local] = kThinking;
-      arm(now_ + owner.config_.think_time, local);
+          now_, now_ - u.query_start, m.f, m.uid, (m.a & kFlagStale) != 0});
+      u.state = kThinking;
+      arm(now_ + owner.config_.think_time, slot);
       return;
     }
     if (m.a & kFlagRefused) ++refused;
     if (m.a & kFlagTimeout) ++timeouts;
     if (m.a & kFlagFailed) ++failures;
     const std::vector<double>& sched = owner.config_.retry_schedule;
-    std::size_t step = std::min<std::size_t>(retries[local],
-                                             sched.size() - 1);
+    std::size_t step = std::min<std::size_t>(u.retries, sched.size() - 1);
     double jitter = owner.config_.retry_jitter;
-    double delay =
-        sched[step] * (1.0 - jitter + 2.0 * jitter * draw01(local));
-    if (retries[local] < 0xffff) ++retries[local];
-    states[local] = kBackoff;
-    arm(now_ + delay, local);
+    double delay = sched[step] * (1.0 - jitter + 2.0 * jitter * draw01(slot));
+    if (u.retries < 0xffff) ++u.retries;
+    u.state = kBackoff;
+    arm(now_ + delay, slot);
   }
 };
 
@@ -167,9 +187,16 @@ FrontierWorkload::FrontierWorkload(Testbed& testbed, TracedQueryFn query,
   if (config_.shards < 1) {
     throw std::invalid_argument("frontier workload needs >= 1 shard");
   }
-  if (config_.retry_schedule.empty()) {
-    throw std::invalid_argument("frontier workload needs a retry schedule");
+  const std::vector<double>& steps = config_.retry_schedule;
+  auto bad = [](double d) { return !(d >= 0 && std::isfinite(d)); };
+  if (steps.empty() || std::any_of(steps.begin(), steps.end(), bad) ||
+      bad(config_.think_time) || !(std::abs(config_.retry_jitter) <= 1)) {
+    throw std::invalid_argument(
+        "frontier workload: bad think time, jitter or retry schedule");
   }
+  double horizon = std::max(config_.think_time,
+                            (1.0 + std::abs(config_.retry_jitter)) *
+                                *std::max_element(steps.begin(), steps.end()));
   lookahead_ = config_.lookahead > 0
                    ? config_.lookahead
                    : testbed_.network().min_cross_site_latency();
@@ -196,7 +223,7 @@ FrontierWorkload::FrontierWorkload(Testbed& testbed, TracedQueryFn query,
   std::vector<sim::ShardRunner*> runners{gateway_.get()};
   clients_.reserve(static_cast<std::size_t>(config_.shards));
   for (int s = 0; s < config_.shards; ++s) {
-    clients_.push_back(std::make_unique<ClientShard>(*this, s + 1));
+    clients_.push_back(std::make_unique<ClientShard>(*this, s + 1, horizon));
     runners.push_back(clients_.back().get());
   }
   group_ = std::make_unique<sim::ShardGroup>(std::move(runners), lookahead_,
@@ -226,9 +253,7 @@ void FrontierWorkload::spawn_users(int n) {
   }
   double start = testbed_.sim().now();
   for (int u = 0; u < n; ++u) {
-    std::uint64_t uid = static_cast<std::uint64_t>(u);
-    clients_[uid % static_cast<std::uint64_t>(config_.shards)]->add_user(
-        uid, start);
+    clients_[static_cast<std::size_t>(u % config_.shards)]->add_user(start);
   }
   users_ = n;
 }
@@ -265,33 +290,13 @@ sim::Task<void> FrontierWorkload::gateway_attempt(FrontierWorkload& self,
   --self.outstanding_;
 }
 
-/// The batched refusal fast path. At frontier scale nearly every
-/// attempt bounces off a full listen queue, and the per-attempt price
-/// of that bounce — a 1.2 s tool startup plus a SYN each way across
-/// three processor-sharing stages — is what dominates wall-clock. The
-/// gateway therefore keeps a bounded standing pool of real attempts
-/// (pool_factor x the port's listen backlog of gateway_attempt
-/// coroutines) that run the full per-attempt physics, where the
-/// authoritative admission still happens; the pool is sized so the
-/// accept queue stays saturated and throughput, response time, and
-/// server load are attempt-for-attempt those of the unbatched model.
-/// Requests beyond the pool are doomed — thousands of pooled attempts
-/// are already ahead of them in line for every freed slot — so each
-/// lookahead-wide cohort of surplus requests is priced as ONE aggregate
-/// SYN/RST round trip. Processor sharing is a fluid model: n identical
-/// concurrent SYN flows between the same two NICs occupy the pipes like
-/// one flow of n times the bytes, so the aggregate carries the cohort's
-/// exact wire bytes. Shed refusal replies skip the tool-startup delay
-/// and land up to one bucket early; the shift is milliseconds against a
-/// seconds-deep retry ladder (the trade is documented in docs/SCALE.md,
-/// "The batched refusal fast path"). A down port bypasses the gate
-/// entirely so fault semantics stay with the real path.
-///
-/// Determinism across shard counts survives because every input is
-/// K-independent: cohorts are [b*L, (b+1)*L) buckets of the canonical
-/// (deliver_at, uid, seq) mailbox order, the flush fires at the bucket
-/// boundary, and the pool counter moves only at flush and at
-/// gateway-attempt completion — all gateway-shard sim times.
+/// The batched refusal fast path (docs/SCALE.md has the model, its two
+/// bounded approximations and why it is K-independent). The gateway
+/// keeps a pool of pool_factor x the port's backlog real gateway_attempt
+/// coroutines, where admission is decided; each [b*L, (b+1)*L) cohort
+/// of surplus requests, doomed behind the pool, is priced as ONE
+/// aggregate SYN/RST round trip carrying the cohort's exact wire bytes.
+/// A down port bypasses the gate, so faults stay on the real path.
 sim::Task<void> FrontierWorkload::flush_requests(FrontierWorkload& self) {
   auto head = self.buckets_.begin();
   std::vector<std::uint64_t> batch = std::move(head->second);
@@ -314,8 +319,7 @@ sim::Task<void> FrontierWorkload::flush_requests(FrontierWorkload& self) {
   if (shed == 0) co_return;
   self.attempts_ += shed;
   self.fast_refused_ += shed;
-  // One aggregate round trip carrying the cohort's exact wire bytes
-  // (transfer() adds one message overhead itself, hence the deduction).
+  // transfer() adds one message overhead itself, hence the deduction.
   net::Interface& rep = *self.nics_[batch[full] % self.nics_.size()];
   double per_syn =
       net::Network::kSynBytes + net::Network::kMessageOverheadBytes;
@@ -337,12 +341,11 @@ void FrontierWorkload::on_gateway_message(const sim::ShardMessage& m) {
     testbed_.sim().spawn(gateway_attempt(*this, m.uid));
     return;
   }
-  // Deliveries arrive in canonical time order; bucket this request by
-  // the lookahead-wide interval [b*L, (b+1)*L) holding its delivery
-  // instant and flush the cohort at the bucket boundary. The first
-  // member schedules the flush; a boundary-instant delivery (processed
-  // before that flush fires, FIFO at equal times) keys a fresh bucket,
-  // which is why buckets_ is a map and not a single pending vector.
+  // Deliveries arrive in canonical time order. Bucket this request by
+  // the [b*L, (b+1)*L) interval holding its delivery instant; the first
+  // member schedules the flush at the boundary. A boundary-instant
+  // delivery (run before that flush, FIFO at equal times) keys a fresh
+  // bucket, hence a map and not one pending vector.
   auto& sim = testbed_.sim();
   double deadline =
       (std::floor(sim.now() / lookahead_) + 1.0) * lookahead_;
@@ -362,11 +365,9 @@ const std::vector<FrontierCompletion>& FrontierWorkload::merged_completions() {
   }
   // (t, uid) is a total order (one completion per user per instant), so
   // plain sort is deterministic and shard-count-independent.
-  std::sort(merged_.begin(), merged_.end(),
-            [](const FrontierCompletion& x, const FrontierCompletion& y) {
-              if (x.t != y.t) return x.t < y.t;
-              return x.uid < y.uid;
-            });
+  std::sort(merged_.begin(), merged_.end(), [](const auto& x, const auto& y) {
+    return x.t != y.t ? x.t < y.t : x.uid < y.uid;
+  });
   return merged_;
 }
 
@@ -427,8 +428,7 @@ MetricsReport FrontierWorkload::measure_window(
     if (c.stale) ++stale;
   }
   double span = t1 - t0;
-  p.throughput =
-      span > 0 ? static_cast<double>(completed) / span : 0;
+  p.throughput = span > 0 ? static_cast<double>(completed) / span : 0;
   p.response = completed > 0
                    ? response_sum / static_cast<double>(completed)
                    : 0;

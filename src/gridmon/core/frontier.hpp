@@ -11,10 +11,13 @@
 ///    gateway coroutine against the user's real UC-host NIC, through
 ///    the scenario's unmodified query function, so the service under
 ///    test sees exactly the traffic the legacy engine would send it.
-///  - Shards 1..K hold only user state, struct-of-arrays: one slab of
-///    contiguous per-user fields (state byte, retry level, RNG draw
-///    counter, query start time) plus a lean 24-byte-keyed timer heap.
-///    No coroutine frames, no per-user allocation.
+///  - Shards 1..K hold only user state: one vector of 16-byte per-user
+///    records (query start time, RNG draw counter, retry level, state
+///    byte; the user id is derived from the slot) plus a calendar queue
+///    of 16-byte (fire time, slot) timers — a ring of bucket vectors,
+///    lookahead-wide unless the longest delay needs more than 16384 of
+///    them, each sorted once when it opens. No coroutine frames, no
+///    per-user allocation.
 ///
 /// The two sides talk exclusively through the group's deterministic
 /// mailboxes with one lookahead hop (the WAN one-way latency) in each

@@ -1,5 +1,6 @@
 #include "gridmon/core/testbed.hpp"
 
+#include <iterator>
 #include <stdexcept>
 
 namespace gridmon::core {
@@ -20,7 +21,9 @@ Testbed::Testbed(TestbedConfig config)
                 .one_way_latency = config_.wan_one_way_latency,
                 .per_flow_cap_bytes_per_s = config_.wan_per_flow_cap});
 
-  for (int i : {0, 1, 3, 4, 5, 6, 7}) {
+  constexpr int kLuckyNumbers[] = {0, 1, 3, 4, 5, 6, 7};
+  static_assert(std::size(kLuckyNumbers) == kLuckyNodes);
+  for (int i : kLuckyNumbers) {
     std::string name = "lucky" + std::to_string(i);
     add_host(name, "anl", 2, 1133);
     lucky_.push_back(name);

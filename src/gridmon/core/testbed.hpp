@@ -49,6 +49,9 @@ class Testbed {
   host::Host& host(const std::string& name);
   net::Interface& nic(const std::string& name);
 
+  /// lucky0, lucky1 and lucky3..lucky7: the paper has no lucky2.
+  static constexpr int kLuckyNodes = 7;
+
   /// Lucky node names, in the paper's numbering (no lucky2).
   const std::vector<std::string>& lucky_names() const noexcept {
     return lucky_;

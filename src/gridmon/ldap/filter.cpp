@@ -107,7 +107,17 @@ class FilterParser {
     ++pos_;
   }
 
+  // Nesting bound: deeper input would overflow the stack, here or in the
+  // tree's recursive matches, to_string and destructor. &/| lists are
+  // flat vectors, so recursion depth is the tree's height.
+  static constexpr int kMaxNesting = 1000;
+
   FilterPtr filter() {
+    if (++depth_ > kMaxNesting) {
+      throw FilterError("filter nested deeper than " +
+                        std::to_string(kMaxNesting) + " at position " +
+                        std::to_string(pos_));
+    }
     expect('(');
     FilterPtr f;
     switch (peek()) {
@@ -127,6 +137,7 @@ class FilterParser {
         f = item();
     }
     expect(')');
+    --depth_;
     return f;
   }
 
@@ -207,6 +218,7 @@ class FilterParser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // open filter() levels
 };
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include "gridmon/rdbms/sql_parser.hpp"
 
+#include <algorithm>
+
 #include "gridmon/rdbms/sql_lexer.hpp"
 
 namespace gridmon::rdbms {
@@ -254,13 +256,50 @@ class SqlParser {
   }
 
   // ---- expressions ----
-  SqlExprPtr expression() { return or_expr(); }
+
+  // Nesting bound: deeper input would overflow the stack, here or in the
+  // tree's recursive evaluation and destructor. `depth_` counts open
+  // recursion levels (parentheses, IN lists, NOT, unary signs);
+  // `height_` is the height of the subtree parsed last, which the
+  // left-associative loops (OR, AND, + - * /) grow without recursing.
+  static constexpr int kMaxNesting = 1000;
+
+  void bound(int n) const {
+    if (n <= kMaxNesting) return;
+    throw SqlError("expression nested deeper than " +
+                   std::to_string(kMaxNesting) + " near '" + peek().text +
+                   "'");
+  }
+
+  struct Nest {
+    explicit Nest(SqlParser& owner) : parser(owner) {
+      parser.bound(++parser.depth_);
+    }
+    ~Nest() { --parser.depth_; }
+    SqlParser& parser;
+  };
+
+  /// Record a new node above children whose tallest is `child` high.
+  void grow(int child) { bound(height_ = child + 1); }
+
+  SqlExprPtr expression() {
+    Nest nest(*this);
+    return or_expr();
+  }
+
+  /// lhs `op` rhs, with the node's height recorded.
+  SqlExprPtr binary(SqlBinOp op, SqlExprPtr lhs, int lhs_height,
+                    SqlExprPtr (SqlParser::*operand)()) {
+    SqlExprPtr rhs = (this->*operand)();
+    grow(std::max(lhs_height, height_));
+    return std::make_unique<SqlBinary>(op, std::move(lhs), std::move(rhs));
+  }
 
   SqlExprPtr or_expr() {
     SqlExprPtr lhs = and_expr();
     while (keyword("OR")) {
-      lhs = std::make_unique<SqlBinary>(SqlBinOp::Or, std::move(lhs),
-                                        and_expr());
+      lhs = binary(SqlBinOp::Or, std::move(lhs), height_,
+                   &SqlParser::and_expr);
     }
     return lhs;
   }
@@ -268,15 +307,18 @@ class SqlParser {
   SqlExprPtr and_expr() {
     SqlExprPtr lhs = not_expr();
     while (keyword("AND")) {
-      lhs = std::make_unique<SqlBinary>(SqlBinOp::And, std::move(lhs),
-                                        not_expr());
+      lhs = binary(SqlBinOp::And, std::move(lhs), height_,
+                   &SqlParser::not_expr);
     }
     return lhs;
   }
 
   SqlExprPtr not_expr() {
-    if (keyword("NOT")) return std::make_unique<SqlNot>(not_expr());
-    return predicate();
+    if (!keyword("NOT")) return predicate();
+    Nest nest(*this);
+    SqlExprPtr operand = not_expr();
+    grow(height_);
+    return std::make_unique<SqlNot>(std::move(operand));
   }
 
   SqlExprPtr predicate() {
@@ -285,6 +327,7 @@ class SqlParser {
     if (keyword("IS")) {
       bool negated = keyword("NOT");
       expect_keyword("NULL");
+      grow(height_);
       return std::make_unique<SqlIsNull>(std::move(lhs), negated);
     }
     bool negated = false;
@@ -299,15 +342,20 @@ class SqlParser {
         throw SqlError("expected string pattern after LIKE");
       }
       std::string pattern = advance().text;
+      grow(height_);
       return std::make_unique<SqlLike>(std::move(lhs), std::move(pattern),
                                        negated);
     }
     if (keyword("IN")) {
+      int tallest = height_;
       expect(SqlTokenKind::LParen, "'('");
       std::vector<SqlExprPtr> items;
-      items.push_back(expression());
-      while (match(SqlTokenKind::Comma)) items.push_back(expression());
+      do {
+        items.push_back(expression());
+        tallest = std::max(tallest, height_);
+      } while (match(SqlTokenKind::Comma));
       expect(SqlTokenKind::RParen, "')'");
+      grow(tallest);
       return std::make_unique<SqlIn>(std::move(lhs), std::move(items),
                                      negated);
     }
@@ -335,18 +383,18 @@ class SqlParser {
         return lhs;  // bare additive expression
     }
     advance();
-    return std::make_unique<SqlBinary>(op, std::move(lhs), additive());
+    return binary(op, std::move(lhs), height_, &SqlParser::additive);
   }
 
   SqlExprPtr additive() {
     SqlExprPtr lhs = multiplicative();
     for (;;) {
       if (match(SqlTokenKind::Plus)) {
-        lhs = std::make_unique<SqlBinary>(SqlBinOp::Add, std::move(lhs),
-                                          multiplicative());
+        lhs = binary(SqlBinOp::Add, std::move(lhs), height_,
+                     &SqlParser::multiplicative);
       } else if (match(SqlTokenKind::Minus)) {
-        lhs = std::make_unique<SqlBinary>(SqlBinOp::Subtract, std::move(lhs),
-                                          multiplicative());
+        lhs = binary(SqlBinOp::Subtract, std::move(lhs), height_,
+                     &SqlParser::multiplicative);
       } else {
         return lhs;
       }
@@ -357,11 +405,11 @@ class SqlParser {
     SqlExprPtr lhs = unary();
     for (;;) {
       if (match(SqlTokenKind::Star)) {
-        lhs = std::make_unique<SqlBinary>(SqlBinOp::Multiply, std::move(lhs),
-                                          unary());
+        lhs = binary(SqlBinOp::Multiply, std::move(lhs), height_,
+                     &SqlParser::unary);
       } else if (match(SqlTokenKind::Slash)) {
-        lhs = std::make_unique<SqlBinary>(SqlBinOp::Divide, std::move(lhs),
-                                          unary());
+        lhs = binary(SqlBinOp::Divide, std::move(lhs), height_,
+                     &SqlParser::unary);
       } else {
         return lhs;
       }
@@ -370,14 +418,21 @@ class SqlParser {
 
   SqlExprPtr unary() {
     if (match(SqlTokenKind::Minus)) {
-      return std::make_unique<SqlNegate>(unary());
+      Nest nest(*this);
+      SqlExprPtr operand = unary();
+      grow(height_);
+      return std::make_unique<SqlNegate>(std::move(operand));
     }
-    if (match(SqlTokenKind::Plus)) return unary();
+    if (match(SqlTokenKind::Plus)) {
+      Nest nest(*this);
+      return unary();
+    }
     return primary();
   }
 
   SqlExprPtr primary() {
     const SqlToken& t = peek();
+    height_ = 1;  // a leaf; a parenthesized expression overwrites it
     switch (t.kind) {
       case SqlTokenKind::Integer:
         advance();
@@ -416,6 +471,8 @@ class SqlParser {
 
   std::vector<SqlToken> tokens_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
+  int height_ = 0;
 };
 
 }  // namespace

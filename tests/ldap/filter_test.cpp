@@ -123,6 +123,28 @@ TEST(FilterTest, ParseErrors) {
   EXPECT_THROW(Filter::parse("(attr)"), FilterError);
 }
 
+/// `levels` nested filters: levels - 1 negations around one item.
+std::string nested_not(int levels) {
+  std::string text;
+  for (int i = 1; i < levels; ++i) text += "(!";
+  text += "(a=1)";
+  for (int i = 1; i < levels; ++i) text += ")";
+  return text;
+}
+
+TEST(FilterTest, NestingBoundedAtOneThousand) {
+  auto at_bound = Filter::parse(nested_not(1000));
+  Entry e(Dn::parse("cn=x"));
+  e.add("a", "1");
+  // 999 negations of a true item.
+  EXPECT_FALSE(at_bound->matches(e));
+  EXPECT_EQ(at_bound->to_string(), nested_not(1000));
+  EXPECT_THROW(Filter::parse(nested_not(1001)), FilterError);
+  // Far past the bound: a typed error, not a stack overflow.
+  EXPECT_THROW(Filter::parse(nested_not(100000)), FilterError);
+  EXPECT_THROW(Filter::parse(std::string(100000, '(')), FilterError);
+}
+
 TEST(FilterTest, MatchAllMatchesAnything) {
   Entry bare(Dn::parse("cn=bare"));
   EXPECT_TRUE(Filter::match_all()->matches(bare));

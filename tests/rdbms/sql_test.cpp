@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "gridmon/rdbms/database.hpp"
+#include "gridmon/rdbms/sql_parser.hpp"
 
 namespace gridmon::rdbms {
 namespace {
@@ -192,6 +195,40 @@ TEST(SqlTest, ParseErrors) {
   EXPECT_THROW(db.execute("INSERT INTO t VALUES (1"), SqlError);
   EXPECT_THROW(db.execute("SELECT * FROM t WHERE"), SqlError);
   EXPECT_THROW(db.execute("SELECT * FROM t LIMIT x"), SqlError);
+}
+
+/// `ts = 100` inside `parens` pairs of parentheses.
+std::string parenthesized(int parens) {
+  return std::string(static_cast<std::size_t>(parens), '(') + "ts = 100" +
+         std::string(static_cast<std::size_t>(parens), ')');
+}
+
+/// `terms` comparisons joined by OR: a left-deep tree terms + 1 high.
+std::string or_chain(int terms) {
+  std::string text = "ts = 100";
+  for (int i = 1; i < terms; ++i) text += " OR ts = 100";
+  return text;
+}
+
+TEST(SqlTest, NestingBoundedAtOneThousand) {
+  auto db = grid_db();
+  const std::string select = "SELECT * FROM cpuload WHERE ";
+  // The WHERE expression is one level; 999 parentheses fill the bound.
+  EXPECT_EQ(db.execute(select + parenthesized(999)).rows.size(), 2u);
+  EXPECT_THROW(db.execute(select + parenthesized(1000)), SqlError);
+  // Far past the bound: a typed error, not a stack overflow.
+  EXPECT_THROW(sql_parse(select + std::string(100000, '(')), SqlError);
+  EXPECT_THROW(sql_parse(select + parenthesized(100000)), SqlError);
+  EXPECT_THROW(sql_parse(select + std::string(100000, '-') + "1"),
+               SqlError);
+  std::string nots;
+  for (int i = 0; i < 100000; ++i) nots += "NOT ";
+  EXPECT_THROW(sql_parse(select + nots + "ts = 100"), SqlError);
+  // Left-associative chains build height without recursing in the
+  // parser, but evaluation and destruction still recurse.
+  EXPECT_EQ(db.execute(select + or_chain(999)).rows.size(), 2u);
+  EXPECT_THROW(db.execute(select + or_chain(1000)), SqlError);
+  EXPECT_THROW(sql_parse(select + or_chain(100000)), SqlError);
 }
 
 TEST(SqlTest, RuntimeErrors) {

@@ -127,6 +127,29 @@ TEST(ShardGroup, DeliversInCanonicalOrderRegardlessOfSender) {
   EXPECT_EQ(group.messages_delivered(), 4u);
 }
 
+TEST(ShardGroup, SingleSenderDescendingUidsDeliverAscending) {
+  // One sender, one instant, uids posted high to low (the gateway's
+  // reply outbox is not always sorted): the barrier still hands the
+  // receiver canonical (deliver_at, uid, seq) order, not posting order.
+  std::vector<std::string> journal;
+  RecordingShard a("a", journal);
+  RecordingShard b("b", journal);
+  ShardGroup group({&a, &b}, 1.0);
+  for (std::uint64_t uid : {9u, 5u, 3u, 0u}) {
+    group.post(0, 1, ShardMessage{1.5, uid, 0, 0, 0, 0, 0});
+  }
+  group.post(0, 1, ShardMessage{1.5, 5, 0, 1, 0, 0, 0});  // same uid, later seq
+  group.post(0, 1, ShardMessage{1.25, 7, 0, 2, 0, 0, 0});
+  group.run(2.0);
+  ASSERT_EQ(journal.size(), 6u);
+  EXPECT_EQ(journal[0], "b t=1.25 uid=7 kind=2");
+  EXPECT_EQ(journal[1], "b t=1.5 uid=0 kind=0");
+  EXPECT_EQ(journal[2], "b t=1.5 uid=3 kind=0");
+  EXPECT_EQ(journal[3], "b t=1.5 uid=5 kind=0");
+  EXPECT_EQ(journal[4], "b t=1.5 uid=5 kind=1");
+  EXPECT_EQ(journal[5], "b t=1.5 uid=9 kind=0");
+}
+
 TEST(ShardGroup, SelfPostTakesTheBarrierTrip) {
   std::vector<std::string> journal;
   RecordingShard a("a", journal);

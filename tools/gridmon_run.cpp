@@ -55,6 +55,22 @@ int main(int argc, char** argv) {
   }
 
   bool sharded = spec.engine.sharded();
+  // The legacy engine seats users on the default testbed's client hosts
+  // at a per-host cap (the frontier sizes its UC pool to fit instead).
+  // Check the whole sweep before any Testbed is built.
+  const int per_host = spec.lucky_clients ? 100 : 50;
+  const int client_hosts =
+      spec.lucky_clients ? Testbed::kLuckyNodes : TestbedConfig{}.uc_clients;
+  for (int n : spec.users) {
+    if (!sharded && n > per_host * client_hosts) {
+      std::cerr << "config error: users = " << n << " exceeds "
+                << per_host * client_hosts << ", the " << per_host
+                << "-per-host cap on " << client_hosts << " "
+                << (spec.lucky_clients ? "lucky" : "uc")
+                << " client hosts\n";
+      return 2;
+    }
+  }
   std::cout << "service: " << spec.service_name()
             << ", collectors: " << spec.collectors
             << ", clients: " << (spec.lucky_clients ? "lucky" : "uc")
@@ -147,7 +163,7 @@ int main(int argc, char** argv) {
                                    spec.server_host());
     } else {
       WorkloadConfig wc;
-      if (spec.lucky_clients) wc.max_users_per_host = 100;
+      wc.max_users_per_host = per_host;
       wc.query_deadline = spec.query_deadline;
       wc.max_attempts = spec.max_attempts;
       if (with_resilience) wc.resilience = spec.resilience.client;
