@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
     hooks.after_measure = [&provider_runs](Scenario& sc, UserWorkload&) {
       provider_runs = static_cast<GrisScenario&>(sc).gris->provider_runs();
     };
-    SweepPoint p = run_point(opt, "ttl", spec, kUsers, nullptr, hooks);
+    MetricsReport p = run_point(opt, "ttl", spec, kUsers, nullptr, hooks);
     table.add_row({ttl > 1e9 ? "inf" : metrics::Table::num(ttl, 0),
                    metrics::Table::num(p.throughput),
                    metrics::Table::num(p.response),

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
         resp_kb = w.completions().back().bytes / 1024.0;
       }
     };
-    SweepPoint p = run_point(opt, s.name, spec, kUsers, nullptr, hooks);
+    MetricsReport p = run_point(opt, s.name, spec, kUsers, nullptr, hooks);
     table.add_row({std::to_string(total), metrics::Table::num(resp_kb, 0),
                    metrics::Table::num(p.throughput),
                    metrics::Table::num(p.response),

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
                               .build();
       PointHooks hooks;
       hooks.x = pool;
-      SweepPoint p = run_point(opt, s.name, spec, kUsers, nullptr, hooks);
+      MetricsReport p = run_point(opt, s.name, spec, kUsers, nullptr, hooks);
       table.add_row({std::to_string(replicas), std::to_string(pool),
                      metrics::Table::num(p.throughput),
                      metrics::Table::num(p.response),

@@ -173,7 +173,7 @@ inline void emit_trace(const BenchOptions& opt,
 
 /// Progress line so long sweeps show life on the terminal.
 inline void progress(const std::string& series, int x,
-                     const core::SweepPoint& p) {
+                     const core::MetricsReport& p) {
   std::cout << "  [" << series << "] x=" << x
             << " tput=" << metrics::Table::num(p.throughput)
             << " resp=" << metrics::Table::num(p.response)
@@ -187,7 +187,7 @@ inline void progress(const std::string& series, int x,
 /// measurement window, a client-host cap).
 struct PointHooks {
   std::optional<double> x;     // CSV x value (default: the user count)
-  int max_users_per_host = 0;  // 0 = 100 on lucky clients, else default
+  int max_users_per_host = 0;  // 0 = 100 on lucky clients, else 50
   /// Runs after measure(), before the scenario is torn down — read
   /// scenario members (cache stats, completion logs) here.
   std::function<void(core::Scenario&, core::UserWorkload&)> after_measure;
@@ -197,11 +197,19 @@ struct PointHooks {
 /// make_scenario + prefill, UserWorkload bound to the scenario's query,
 /// one measurement window. This is the loop exp1-exp4 and most extended
 /// benches share; only push-based and open-loop benches hand-roll it.
-inline core::SweepPoint run_point(const BenchOptions& opt,
-                                  const std::string& series,
-                                  const core::ScenarioSpec& spec, int users,
-                                  trace::SeriesTrace* trace_out = nullptr,
-                                  const PointHooks& hooks = {}) {
+inline core::MetricsReport run_point(const BenchOptions& opt,
+                                     const std::string& series,
+                                     const core::ScenarioSpec& spec, int users,
+                                     trace::SeriesTrace* trace_out = nullptr,
+                                     const PointHooks& hooks = {}) {
+  core::WorkloadConfig wc;
+  try {
+    wc.max_users_per_host =
+        core::checked_users_per_host(spec, users, hooks.max_users_per_host);
+  } catch (const core::ConfigError& e) {
+    std::cerr << "config error: " << e.what() << "\n";
+    std::exit(2);
+  }
   core::TestbedConfig tc;
   tc.seed = opt.seed_for(spec);
   core::Testbed tb(tc);
@@ -210,11 +218,6 @@ inline core::SweepPoint run_point(const BenchOptions& opt,
   // The collector must outlive the workload's user coroutines (destroyed
   // by ~UserWorkload's shutdown), hence this declaration order.
   trace::Collector collector(tb.sim(), tb.config().seed);
-  core::WorkloadConfig wc;
-  if (spec.lucky_clients) wc.max_users_per_host = 100;
-  if (hooks.max_users_per_host > 0) {
-    wc.max_users_per_host = hooks.max_users_per_host;
-  }
   if (spec.query_deadline > 0) wc.query_deadline = spec.query_deadline;
   if (spec.max_attempts > 0) wc.max_attempts = spec.max_attempts;
   if (spec.resilience.enabled) wc.resilience = spec.resilience.client;
@@ -235,7 +238,7 @@ inline core::SweepPoint run_point(const BenchOptions& opt,
     mc.goodput_deadline = spec.goodput_deadline;
   }
   double x = hooks.x.value_or(users);
-  core::SweepPoint p = core::measure(tb, workload, server, x, mc);
+  core::MetricsReport p = core::measure(tb, workload, server, x, mc);
   if (trace_out != nullptr) {
     trace_out->series = series;
     trace_out->data = collector.take();

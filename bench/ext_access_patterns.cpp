@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
       double t0 = tb.sim().now();
       tb.sim().run(t0 + mc.duration);
       double t1 = tb.sim().now();
-      SweepPoint p;
+      MetricsReport p;
       p.x = n;
       p.throughput = w.throughput(t0, t1);
       p.response = w.mean_response(t0, t1);

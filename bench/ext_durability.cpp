@@ -58,7 +58,7 @@ struct DurPoint {
   std::string service;  // "registry" | "manager"
   std::string mode;     // mode_name()
   double fsync = 0;     // seconds (the swept knob; default elsewhere)
-  SweepPoint p;
+  MetricsReport p;
   double replay_s = 0;
   double wal_bytes = 0;
   std::uint64_t flushes = 0;

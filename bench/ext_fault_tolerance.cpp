@@ -149,7 +149,7 @@ int main(int argc, char** argv) {
         mc.recovery_mark = t_heal;
         mc.recovered_at = [&scenario] { return scenario->recovered_at(); };
         const std::string host = spec.server_host();
-        SweepPoint p = measure(tb, w, host, window, mc);
+        MetricsReport p = measure(tb, w, host, window, mc);
         std::cout << "  [" << service << "/" << plan_name << "] window="
                   << window << " avail=" << metrics::Table::num(p.availability, 3)
                   << " err/s=" << metrics::Table::num(p.error_rate, 3)

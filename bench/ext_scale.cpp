@@ -255,14 +255,13 @@ ScalePoint run_legacy_point(const BenchOptions& opt, const std::string& series,
 /// lives in core::FrontierWorkload's SoA client shards and talks to the
 /// physics shard through the deterministic mailboxes.
 MetricsReport sharded_metrics(const BenchOptions& opt,
-                              const ScenarioSpec& spec, int users, int shards,
-                              int threads) {
+                              const ScenarioSpec& spec, int users,
+                              int shards) {
   core::Testbed tb(testbed_for(opt, spec, users));
   auto scenario = core::make_scenario(tb, spec);
   scenario->prefill();
   core::FrontierConfig fc;
   fc.shards = shards;
-  fc.threads = threads;
   fc.admission_port = scenario->server_port();
   fc.server_host = spec.server_host();
   core::FrontierWorkload workload(tb, scenario->query_fn(), fc);
@@ -287,13 +286,13 @@ MetricsReport sharded_metrics(const BenchOptions& opt,
 
 ScalePoint run_sharded_point(const BenchOptions& opt,
                              const std::string& series,
-                             const ScenarioSpec& spec, int users, int shards,
-                             int threads) {
+                             const ScenarioSpec& spec, int users,
+                             int shards) {
   ScalePoint p;
   p.series = series;
   p.users = users;
   p.m = run_isolated(
-      [&] { return sharded_metrics(opt, spec, users, shards, threads); });
+      [&] { return sharded_metrics(opt, spec, users, shards); });
   progress(p);
   return p;
 }
@@ -340,7 +339,6 @@ int main(int argc, char** argv) {
   // --shards is this bench's own flag; peel it off before the shared
   // parser (which rejects unknown options).
   int shard_override = 0;
-  int thread_override = 0;
   std::vector<char*> passthrough{argv[0]};
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -348,17 +346,13 @@ int main(int argc, char** argv) {
       shard_override = std::atoi(arg.c_str() + 9);
     } else if (arg == "--shards" && i + 1 < argc) {
       shard_override = std::atoi(argv[++i]);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      thread_override = std::atoi(arg.c_str() + 10);
-    } else if (arg == "--threads" && i + 1 < argc) {
-      thread_override = std::atoi(argv[++i]);
     } else {
       passthrough.push_back(argv[i]);
     }
   }
   BenchOptions opt = bench::parse_options(
       static_cast<int>(passthrough.size()), passthrough.data(), false,
-      "[--shards K] [--threads T]");
+      "[--shards K]");
   int shards = shard_override > 0 ? shard_override : kDefaultShards;
 
   std::vector<int> sweep;
@@ -393,8 +387,7 @@ int main(int argc, char** argv) {
     std::cout << "Engine scalability: sharded GRIS point, " << opt.users
               << " users, " << shards << " shards\n";
     points.push_back(run_sharded_point(opt, "MDS GRIS (cache, sharded)",
-                                       configs[0].spec, opt.users, shards,
-                                       thread_override));
+                                       configs[0].spec, opt.users, shards));
   } else {
     std::cout << "Engine scalability: exp1-style services, " << sweep.front()
               << "-" << sweep.back() << " users, " << kWarmup << "+"
@@ -413,8 +406,7 @@ int main(int argc, char** argv) {
                                           configs[0].spec, kMillion));
       }
       points.push_back(run_sharded_point(opt, "MDS GRIS (cache, sharded)",
-                                         configs[0].spec, kMillion, shards,
-                                         thread_override));
+                                         configs[0].spec, kMillion, shards));
     }
   }
 

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
     tb.sim().run(t0 + mc.duration);
     double t1 = tb.sim().now();
 
-    SweepPoint p;
+    MetricsReport p;
     p.x = n;
     p.throughput =
         static_cast<double>(scenario.latency.count() - delivered_before) /

@@ -17,7 +17,7 @@ using namespace gridmon;
 using core::MeasureConfig;
 using core::ScenarioSpec;
 using core::ServiceKind;
-using core::SweepPoint;
+using core::MetricsReport;
 using core::Testbed;
 using core::UserWorkload;
 
@@ -26,7 +26,7 @@ namespace {
 struct Result {
   std::string system;
   std::string component;
-  SweepPoint point;
+  MetricsReport point;
 };
 
 MeasureConfig quick() {

@@ -34,7 +34,7 @@ int main() {
   // Ganglia-style sampling at 5 s, then a 10-minute measured window
   // after a 2-minute warm-up.
   testbed.sampler().start();
-  core::SweepPoint p = core::measure(testbed, users, spec.server_host(), 50);
+  core::MetricsReport p = core::measure(testbed, users, spec.server_host(), 50);
 
   std::cout << "MDS GRIS (cache), 50 concurrent users, 10-minute average:\n"
             << "  throughput     " << p.throughput << " queries/sec\n"

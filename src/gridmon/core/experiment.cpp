@@ -9,9 +9,9 @@
 
 namespace gridmon::core {
 
-SweepPoint measure(Testbed& testbed, UserWorkload& workload,
-                   const std::string& server_host, double x,
-                   MeasureConfig config) {
+MetricsReport measure(Testbed& testbed, UserWorkload& workload,
+                      const std::string& server_host, double x,
+                      MeasureConfig config) {
   testbed.sim().run(testbed.sim().now() + config.warmup);
   double t0 = testbed.sim().now();
   double refused_before = static_cast<double>(workload.refused_attempts());
@@ -27,7 +27,7 @@ SweepPoint measure(Testbed& testbed, UserWorkload& workload,
   if (config.collector != nullptr) config.collector->set_enabled(false);
   double t1 = testbed.sim().now();
 
-  SweepPoint p;
+  MetricsReport p;
   p.x = x;
   p.throughput = workload.throughput(t0, t1);
   p.response = workload.mean_response(t0, t1);
@@ -73,10 +73,11 @@ SweepPoint measure(Testbed& testbed, UserWorkload& workload,
   return p;
 }
 
-SweepPoint replicate(const std::vector<std::uint64_t>& seeds,
-                     const std::function<SweepPoint(std::uint64_t)>& run_one,
-                     double* throughput_stddev_out) {
-  SweepPoint mean;
+MetricsReport replicate(
+    const std::vector<std::uint64_t>& seeds,
+    const std::function<MetricsReport(std::uint64_t)>& run_one,
+    double* throughput_stddev_out) {
+  MetricsReport mean;
   mean.availability = 0;   // the struct default is 1; accumulate from zero
   mean.peak_rss_kb = 0;    // likewise (-1 = "not measured")
   mean.shards = 0;         // likewise (the struct default is 1)
@@ -84,10 +85,10 @@ SweepPoint replicate(const std::vector<std::uint64_t>& seeds,
   // The schema is the field list: every metric column accumulates and
   // averages, so new columns join replication without touching this loop.
   for (auto seed : seeds) {
-    SweepPoint p = run_one(seed);
+    MetricsReport p = run_one(seed);
     mean.x = p.x;
     for (const auto& col : metric_columns()) {
-      if (col.field == &SweepPoint::x) continue;
+      if (col.field == &MetricsReport::x) continue;
       mean.*(col.field) += p.*(col.field);
     }
     throughputs.push_back(p.throughput);
@@ -95,7 +96,7 @@ SweepPoint replicate(const std::vector<std::uint64_t>& seeds,
   double n = static_cast<double>(seeds.size());
   if (n > 0) {
     for (const auto& col : metric_columns()) {
-      if (col.field == &SweepPoint::x) continue;
+      if (col.field == &MetricsReport::x) continue;
       mean.*(col.field) /= n;
     }
   }
@@ -114,14 +115,14 @@ void print_figures(std::ostream& os, int first_figure,
                    const std::vector<Series>& series) {
   struct Metric {
     const char* title;
-    double SweepPoint::* field;
+    double MetricsReport::* field;
     int precision;
   };
   const Metric metrics[] = {
-      {"Throughput (queries/sec)", &SweepPoint::throughput, 2},
-      {"Response Time (sec)", &SweepPoint::response, 2},
-      {"Load1", &SweepPoint::load1, 3},
-      {"CPU Load (%)", &SweepPoint::cpu, 1},
+      {"Throughput (queries/sec)", &MetricsReport::throughput, 2},
+      {"Response Time (sec)", &MetricsReport::response, 2},
+      {"Load1", &MetricsReport::load1, 3},
+      {"CPU Load (%)", &MetricsReport::cpu, 1},
   };
 
   // Collect the union of x values, sorted.
@@ -144,7 +145,7 @@ void print_figures(std::ostream& os, int first_figure,
         double v = -1;
         for (const auto& p : s.points) {
           if (p.x == x) {
-            v = m.field == &SweepPoint::load1 ? p.load1 : p.*(m.field);
+            v = m.field == &MetricsReport::load1 ? p.load1 : p.*(m.field);
             break;
           }
         }

@@ -30,13 +30,13 @@ struct MeasureConfig {
   /// expires. Null (the default) leaves tracing untouched.
   trace::Collector* collector = nullptr;
   /// When >= 0 (absolute sim time, typically a fault window's end), the
-  /// SweepPoint's `recovery` reports the delay from this mark to the
+  /// MetricsReport's `recovery` reports the delay from this mark to the
   /// first successful query completion at or after it.
   double recovery_mark = -1;
   /// Optional probe polled once at the end of the window: the absolute
   /// sim time the crashed service's *state* re-converged to its pre-crash
   /// size (Scenario::recovered_at), or -1 if it never did. Feeds the
-  /// SweepPoint's `recovery_complete`. The first-successful-query mark
+  /// MetricsReport's `recovery_complete`. The first-successful-query mark
   /// above dates service *reachability*; a soft-state service answers
   /// long before its contents are back, which is exactly the gap the two
   /// columns expose.
@@ -50,29 +50,25 @@ struct MeasureConfig {
   double goodput_deadline = 0;
 };
 
-/// One sweep point of a figure. The historical name for the typed
-/// metrics row; see metrics_report.hpp for the fields and the schema
-/// that drives CSV/JSON emission.
-using SweepPoint = MetricsReport;
-
-/// Run the clock through warmup+duration and collect a SweepPoint for
+/// Run the clock through warmup+duration and collect a MetricsReport for
 /// `workload` with host metrics from `server_host`.
-SweepPoint measure(Testbed& testbed, UserWorkload& workload,
-                   const std::string& server_host, double x,
-                   MeasureConfig config = {});
+MetricsReport measure(Testbed& testbed, UserWorkload& workload,
+                      const std::string& server_host, double x,
+                      MeasureConfig config = {});
 
 /// Replicate a whole sweep-point experiment across `seeds` independent
 /// random streams and average the metrics (population stddev of the
 /// throughput is reported through `throughput_stddev_out` when given).
 /// `run_one` builds and measures a fresh deployment for one seed.
-SweepPoint replicate(const std::vector<std::uint64_t>& seeds,
-                     const std::function<SweepPoint(std::uint64_t)>& run_one,
-                     double* throughput_stddev_out = nullptr);
+MetricsReport replicate(
+    const std::vector<std::uint64_t>& seeds,
+    const std::function<MetricsReport(std::uint64_t)>& run_one,
+    double* throughput_stddev_out = nullptr);
 
 /// A figure = one metric across sweep points for several series.
 struct Series {
   std::string name;
-  std::vector<SweepPoint> points;
+  std::vector<MetricsReport> points;
 };
 
 /// Print the paper-style figure tables (one table per metric:

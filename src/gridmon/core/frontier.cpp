@@ -133,7 +133,7 @@ struct FrontierWorkload::ClientShard final : sim::ShardRunner {
     owner.group_->post(
         index, 0,
         sim::ShardMessage{now_ + owner.lookahead_, uid_of(slot), 0,
-                          kMsgRequest, 0, 0, 0});
+                          kMsgRequest, 0, 0});
   }
 
   sim::SimTime now() const override { return now_; }
@@ -187,6 +187,10 @@ FrontierWorkload::FrontierWorkload(Testbed& testbed, TracedQueryFn query,
   if (config_.shards < 1) {
     throw std::invalid_argument("frontier workload needs >= 1 shard");
   }
+  if (config_.threads != 0) {
+    throw std::invalid_argument(
+        "frontier workload: threads must be 0 (shards run serially)");
+  }
   const std::vector<double>& steps = config_.retry_schedule;
   auto bad = [](double d) { return !(d >= 0 && std::isfinite(d)); };
   if (steps.empty() || std::any_of(steps.begin(), steps.end(), bad) ||
@@ -226,8 +230,7 @@ FrontierWorkload::FrontierWorkload(Testbed& testbed, TracedQueryFn query,
     clients_.push_back(std::make_unique<ClientShard>(*this, s + 1, horizon));
     runners.push_back(clients_.back().get());
   }
-  group_ = std::make_unique<sim::ShardGroup>(std::move(runners), lookahead_,
-                                             config_.threads);
+  group_ = std::make_unique<sim::ShardGroup>(std::move(runners), lookahead_);
 }
 
 FrontierWorkload::~FrontierWorkload() { testbed_.sim().shutdown(); }
@@ -278,8 +281,7 @@ sim::Task<void> FrontierWorkload::gateway_attempt(FrontierWorkload& self,
   if (a.stale) flags |= kFlagStale;
   self.group_->post(0, self.shard_index_of(uid),
                     sim::ShardMessage{sim.now() + self.lookahead_, uid, 0,
-                                      kMsgReply, 0, flags,
-                                      a.response_bytes});
+                                      kMsgReply, flags, a.response_bytes});
   // The client script's bookkeeping CPU, charged on the user's real UC
   // host after a successful query (the refused path must stay cheap: at
   // frontier scale most attempts bounce off the listen queue).
@@ -330,7 +332,7 @@ sim::Task<void> FrontierWorkload::flush_requests(FrontierWorkload& self) {
   double at = sim.now() + self.lookahead_;
   for (std::size_t i = full; i < batch.size(); ++i) {
     self.group_->post(0, self.shard_index_of(batch[i]),
-                      sim::ShardMessage{at, batch[i], 0, kMsgReply, 0,
+                      sim::ShardMessage{at, batch[i], 0, kMsgReply,
                                         kFlagRefused, 0});
   }
 }

@@ -45,7 +45,9 @@ namespace gridmon::core {
 
 struct FrontierConfig {
   int shards = 1;        // client-state shards (>= 1)
-  int threads = 0;       // >= 2 drives windows on a worker pool
+  /// Kept only so the benchmark harness's `fc.threads = 0;` still
+  /// compiles; shards always run serially and any other value throws.
+  int threads = 0;
   double lookahead = 0;  // window seconds; 0 = min WAN one-way latency
   double think_time = 1.0;  // the paper's 1-second wait
   /// Retry ladder after a refused/failed attempt (same 2002-kernel SYN

@@ -22,8 +22,7 @@
 namespace gridmon::core {
 
 /// One sweep point of a figure, with every metric a named field.
-/// Replaces the positional row each bench used to re-interpret; the old
-/// `SweepPoint` name remains as an alias in experiment.hpp.
+/// Replaces the positional row each bench used to re-interpret.
 struct MetricsReport {
   double x = 0;           // users / collectors / information servers
   double throughput = 0;  // queries per second

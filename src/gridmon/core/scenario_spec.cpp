@@ -289,6 +289,21 @@ std::unique_ptr<Scenario> make_scenario(Testbed& tb,
   return s;
 }
 
+int checked_users_per_host(const ScenarioSpec& spec, int users,
+                           int per_host) {
+  if (per_host <= 0) per_host = spec.lucky_clients ? 100 : 50;
+  const int hosts =
+      spec.lucky_clients ? Testbed::kLuckyNodes : TestbedConfig{}.uc_clients;
+  if (users > per_host * hosts) {
+    throw ConfigError("users = " + std::to_string(users) + " exceeds " +
+                      std::to_string(per_host * hosts) + ", the " +
+                      std::to_string(per_host) + "-per-host cap on " +
+                      std::to_string(hosts) + " " +
+                      (spec.lucky_clients ? "lucky" : "uc") + " client hosts");
+  }
+  return per_host;
+}
+
 std::map<std::string, std::map<std::string, std::string>> parse_ini(
     const std::string& text) {
   std::map<std::string, std::map<std::string, std::string>> out;

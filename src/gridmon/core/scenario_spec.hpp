@@ -72,11 +72,10 @@
 /// An optional [engine] section selects the execution engine
 /// (docs/SCALE.md). Omitting it (or shards = 0) keeps the legacy
 /// single-queue sequential engine, byte-identical to every previous
-/// release:
+/// release. Both engines run on one thread:
 ///
 ///   [engine]
 ///   shards    = 8      ; user partitions for the sharded engine (0 = legacy)
-///   threads   = 0      ; worker threads for the shards (0 = run inline)
 ///   lookahead = 0      ; conservative window seconds (0 = derive from the
 ///                      ; network's minimum cross-site one-way latency)
 ///
@@ -132,8 +131,7 @@ class ConfigError : public std::runtime_error {
 /// release); `shards >= 1` opts a scale run into the sharded
 /// conservative-lookahead engine with that many user partitions.
 struct EngineSpec {
-  int shards = 0;     // user partitions (0 = legacy sequential engine)
-  int threads = 0;    // worker threads for the shards (0 = run inline)
+  int shards = 0;        // user partitions (0 = legacy sequential engine)
   double lookahead = 0;  // window seconds (0 = derive from the network)
 
   bool sharded() const { return shards > 0; }
@@ -299,7 +297,6 @@ class SpecBuilder {
   SpecBuilder& goodput_deadline(double v) { spec_.goodput_deadline = v; return *this; }
   SpecBuilder& engine(EngineSpec v) { spec_.engine = v; return *this; }
   SpecBuilder& shards(int v) { spec_.engine.shards = v; return *this; }
-  SpecBuilder& threads(int v) { spec_.engine.threads = v; return *this; }
   SpecBuilder& lookahead(double v) { spec_.engine.lookahead = v; return *this; }
 
   /// The INI path: apply one `[section] key = value` triple. Malformed
@@ -333,6 +330,15 @@ class SpecBuilder {
 /// first advertisements, registration rounds). Throws ConfigError for a
 /// query variant the service cannot answer.
 std::unique_ptr<Scenario> make_scenario(Testbed& tb, const ScenarioSpec& spec);
+
+/// The legacy engine's seating rule: `users` go on the default testbed's
+/// client hosts (lucky or uc, per the spec) at `per_host` each, where 0
+/// means the paper's cap (100 per lucky node, 50 per uc host). Returns
+/// that per-host cap for WorkloadConfig::max_users_per_host, or throws
+/// ConfigError ("users = N exceeds ...") when the users do not fit, so a
+/// caller can reject a sweep point before building its Testbed.
+int checked_users_per_host(const ScenarioSpec& spec, int users,
+                           int per_host = 0);
 
 /// Parse the INI text through a SpecBuilder. Structural problems (a
 /// malformed line, a missing [experiment] section) throw immediately

@@ -79,7 +79,7 @@ class Scenario {
 
   /// Absolute sim time the crashed service's state re-converged to its
   /// pre-crash size (-1 until it happens, or when the service does not
-  /// track the notion). Feeds SweepPoint::recovery_complete.
+  /// track the notion). Feeds MetricsReport::recovery_complete.
   virtual double recovered_at() const { return -1; }
 
  protected:

@@ -304,8 +304,6 @@ void apply_engine_key(ScenarioSpec& spec, const std::string& key,
   if (key == "shards") {
     // 0 (legacy) is a legal value here, so bypass parse_int's > 0 rule.
     spec.engine.shards = static_cast<int>(parse_double(value));
-  } else if (key == "threads") {
-    spec.engine.threads = static_cast<int>(parse_double(value));
   } else if (key == "lookahead") {
     spec.engine.lookahead = parse_double(value);
   } else {
@@ -413,7 +411,6 @@ void validate_spec(const ScenarioSpec& spec, std::vector<std::string>& out) {
                   "volatile");
   }
   require(spec.engine.shards >= 0, "[engine] shards must be non-negative");
-  require(spec.engine.threads >= 0, "[engine] threads must be non-negative");
   require(spec.engine.lookahead >= 0,
           "[engine] lookahead must be non-negative");
   if (spec.engine.sharded()) {

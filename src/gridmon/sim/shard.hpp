@@ -7,9 +7,10 @@
 /// A ShardGroup drives K ShardRunners (shard 0 is usually a full
 /// sim::Simulation; the others can be lean special-purpose runners such
 /// as the frontier workload's SoA client shards) through fixed windows
-/// of `lookahead` simulated seconds. Within a window every shard
-/// advances independently; cross-shard effects travel as ShardMessages
-/// through per-sender outboxes that are exchanged at the window barrier.
+/// of `lookahead` simulated seconds. Within a window the shards run one
+/// after another on the caller's thread, each independently of the
+/// others; cross-shard effects travel as ShardMessages that wait in the
+/// receiver's pending batch until the window barrier.
 ///
 /// Determinism argument (the property the golden tests pin):
 ///  - A message posted in a window is never deliverable before the next
@@ -18,9 +19,9 @@
 ///    one-way latency, see net::Network::min_cross_site_latency) makes
 ///    that restriction physically free.
 ///  - At the barrier each receiver's new messages are sorted by the
-///    canonical key (deliver_at, uid, seq) — sender identity is *not*
-///    part of the key, so the delivery order is independent of how
-///    entities were partitioned into shards.
+///    canonical key (deliver_at, uid, seq) and merged into its inbox —
+///    sender identity is *not* part of the key, so the delivery order
+///    is independent of how entities were partitioned into shards.
 ///  - Within a window a shard interleaves local work and deliveries by
 ///    time, with the fixed tie rule "local events first, then messages"
 ///    at equal timestamps.
@@ -33,20 +34,17 @@
 /// order is then fixed by seq). Request/reply protocols that keep at
 /// most one in-flight exchange per uid satisfy this by construction.
 ///
-/// Threads are opt-in (threads >= 2): persistent workers own disjoint
-/// shard sets for the whole run, and all cross-thread hand-off happens
-/// at the mutex/condition-variable barrier, so the threaded schedule is
-/// (provably, and under TSan in CI) identical to the serial one.
+/// The group starts no threads: in the frontier workload shard 0 (the
+/// physics) carries nearly all the work, so a worker pool would only add
+/// a hand-off at every barrier.
 
 #include <algorithm>
 #include <cassert>
-#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <mutex>
+#include <iterator>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -61,7 +59,6 @@ struct ShardMessage {
   std::uint64_t uid = 0;   // global entity id — primary tiebreak
   std::uint64_t seq = 0;   // per-sender running count — final tiebreak
   std::uint32_t kind = 0;  // receiver-defined discriminator
-  std::uint32_t from = 0;  // sending shard (filled by post)
   std::uint64_t a = 0;     // payload word
   double f = 0;            // payload value
 };
@@ -117,36 +114,27 @@ class SimulationShard final : public ShardRunner {
 class ShardGroup {
  public:
   /// `shards` must outlive the group. `lookahead` is the window length
-  /// in simulated seconds (> 0). `threads` >= 2 enables the worker
-  /// pool; 0/1 runs windows inline on the caller's thread.
-  ShardGroup(std::vector<ShardRunner*> shards, double lookahead,
-             int threads = 0)
-      : shards_(), lookahead_(lookahead) {
+  /// in simulated seconds (> 0).
+  ShardGroup(std::vector<ShardRunner*> shards, double lookahead)
+      : lookahead_(lookahead) {
     if (shards.empty()) throw std::invalid_argument("ShardGroup: no shards");
     if (!(lookahead > 0)) {
       throw std::invalid_argument("ShardGroup: lookahead must be positive");
     }
-    shards_.reserve(shards.size());
-    for (ShardRunner* r : shards) {
-      PerShard shard;
-      shard.runner = r;
-      shards_.push_back(std::move(shard));
-      shards_.back().outbox.resize(shards.size());
+    shards_.resize(shards.size());
+    for (std::size_t i = 0; i < shards.size(); ++i) {
+      shards_[i].runner = shards[i];
     }
-    int usable = static_cast<int>(shards.size());
-    if (threads >= 2) start_workers(std::min(threads, usable));
   }
 
   ShardGroup(const ShardGroup&) = delete;
   ShardGroup& operator=(const ShardGroup&) = delete;
 
-  ~ShardGroup() { stop_workers(); }
-
-  /// Queue a message from shard `from` to shard `to`. Buffered in the
-  /// sender's outbox until the next barrier — posting to your own shard
-  /// takes the same barrier trip, which is what keeps K=1 and K=N
-  /// byte-identical. Enforces the conservative bound: the message must
-  /// not be deliverable inside the window that produced it.
+  /// Queue a message from shard `from` to shard `to`. Held in the
+  /// receiver's pending batch until the next barrier — posting to your
+  /// own shard takes the same barrier trip, which is what keeps K=1 and
+  /// K=N byte-identical. Enforces the conservative bound: the message
+  /// must not be deliverable inside the window that produced it.
   void post(int from, int to, ShardMessage m) {
     assert(from >= 0 && static_cast<std::size_t>(from) < shards_.size());
     assert(to >= 0 && static_cast<std::size_t>(to) < shards_.size());
@@ -155,10 +143,8 @@ class ShardGroup {
           "ShardGroup::post: deliver_at precedes the current window end "
           "(lookahead violated)");
     }
-    PerShard& s = shards_[static_cast<std::size_t>(from)];
-    m.seq = s.next_seq++;
-    m.from = static_cast<std::uint32_t>(from);
-    s.outbox[static_cast<std::size_t>(to)].push_back(m);
+    m.seq = shards_[static_cast<std::size_t>(from)].next_seq++;
+    shards_[static_cast<std::size_t>(to)].pending.push_back(m);
   }
 
   /// Drive every shard to absolute time `until` in lookahead windows.
@@ -170,11 +156,7 @@ class ShardGroup {
       SimTime end = now_ + lookahead_;
       if (end > until) end = until;
       window_end_ = end;
-      if (workers_.empty()) {
-        for (PerShard& s : shards_) executed += run_window(s, end);
-      } else {
-        executed += run_window_threaded(end);
-      }
+      for (PerShard& s : shards_) executed += run_window(s, end);
       now_ = end;
       ++windows_;
     }
@@ -188,8 +170,7 @@ class ShardGroup {
   int shard_count() const noexcept { return static_cast<int>(shards_.size()); }
   double lookahead() const noexcept { return lookahead_; }
   std::uint64_t windows_run() const noexcept { return windows_; }
-  /// Total cross-shard messages delivered so far. Call between run()s
-  /// (the counter is per-shard inside a window).
+  /// Total cross-shard messages delivered so far.
   std::uint64_t messages_delivered() const noexcept {
     std::uint64_t total = 0;
     for (const PerShard& s : shards_) total += s.delivered;
@@ -199,8 +180,9 @@ class ShardGroup {
  private:
   struct PerShard {
     ShardRunner* runner = nullptr;
-    std::deque<ShardMessage> inbox;  // canonical order, popped from front
-    std::vector<std::vector<ShardMessage>> outbox;  // by target shard
+    std::vector<ShardMessage> inbox;  // canonical order, read from `head`
+    std::size_t head = 0;
+    std::vector<ShardMessage> pending;  // posted since the last barrier
     std::uint64_t next_seq = 0;
     std::uint64_t delivered = 0;
   };
@@ -210,12 +192,12 @@ class ShardGroup {
   /// inclusive of `until`), then messages in canonical order.
   std::size_t run_window(PerShard& s, SimTime end) {
     std::size_t executed = 0;
-    while (!s.inbox.empty() && s.inbox.front().deliver_at <= end) {
-      SimTime at = s.inbox.front().deliver_at;
+    while (s.head < s.inbox.size() && s.inbox[s.head].deliver_at <= end) {
+      SimTime at = s.inbox[s.head].deliver_at;
       executed += s.runner->run(at);
-      while (!s.inbox.empty() && s.inbox.front().deliver_at == at) {
-        s.runner->deliver(s.inbox.front());
-        s.inbox.pop_front();
+      for (; s.head < s.inbox.size() && s.inbox[s.head].deliver_at == at;
+           ++s.head) {
+        s.runner->deliver(s.inbox[s.head]);
         ++s.delivered;
       }
     }
@@ -223,90 +205,24 @@ class ShardGroup {
     return executed;
   }
 
-  /// Barrier phase (single-threaded): move every outbox into its
-  /// target's inbox in canonical order.
+  /// Barrier: sort each receiver's pending batch into canonical order
+  /// and merge it behind the messages still waiting in its inbox (those
+  /// go first on equal keys).
   void exchange() {
-    for (std::size_t to = 0; to < shards_.size(); ++to) {
-      scratch_.clear();
-      for (PerShard& from : shards_) {
-        std::vector<ShardMessage>& box = from.outbox[to];
-        scratch_.insert(scratch_.end(), box.begin(), box.end());
-        box.clear();
+    for (PerShard& s : shards_) {
+      if (s.pending.empty()) continue;
+      std::sort(s.pending.begin(), s.pending.end(), shard_message_before);
+      if (s.head < s.inbox.size()) {
+        std::vector<ShardMessage> merged;
+        merged.reserve(s.inbox.size() - s.head + s.pending.size());
+        std::merge(s.inbox.begin() + static_cast<std::ptrdiff_t>(s.head),
+                   s.inbox.end(), s.pending.begin(), s.pending.end(),
+                   std::back_inserter(merged), shard_message_before);
+        s.pending.swap(merged);
       }
-      if (scratch_.empty()) continue;
-      std::stable_sort(scratch_.begin(), scratch_.end(),
-                       shard_message_before);
-      PerShard& target = shards_[to];
-      auto middle = target.inbox.insert(target.inbox.end(), scratch_.begin(),
-                                        scratch_.end());
-      std::inplace_merge(target.inbox.begin(), middle, target.inbox.end(),
-                         shard_message_before);
-    }
-  }
-
-  // ---- worker pool (threads >= 2) ----
-
-  void start_workers(int count) {
-    workers_.reserve(static_cast<std::size_t>(count));
-    worker_events_.assign(static_cast<std::size_t>(count), 0);
-    for (int w = 0; w < count; ++w) {
-      workers_.emplace_back([this, w, count] { worker_main(w, count); });
-    }
-  }
-
-  void stop_workers() {
-    if (workers_.empty()) return;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_work_.notify_all();
-    for (std::thread& t : workers_) t.join();
-    workers_.clear();
-  }
-
-  std::size_t run_window_threaded(SimTime end) {
-    int n = static_cast<int>(workers_.size());
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      threaded_end_ = end;
-      done_count_ = 0;
-      ++generation_;
-    }
-    cv_work_.notify_all();
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_done_.wait(lock, [this, n] { return done_count_ == n; });
-    std::size_t executed = 0;
-    for (std::size_t e : worker_events_) executed += e;
-    std::fill(worker_events_.begin(), worker_events_.end(), std::size_t{0});
-    return executed;
-  }
-
-  /// Workers own a fixed stride of shards for the whole run; shard
-  /// state crosses threads only through the barrier's mutex.
-  void worker_main(int w, int worker_count) {
-    std::uint64_t seen = 0;
-    for (;;) {
-      SimTime end;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_work_.wait(lock,
-                      [this, seen] { return stop_ || generation_ != seen; });
-        if (stop_) return;
-        seen = generation_;
-        end = threaded_end_;
-      }
-      std::size_t executed = 0;
-      for (std::size_t s = static_cast<std::size_t>(w); s < shards_.size();
-           s += static_cast<std::size_t>(worker_count)) {
-        executed += run_window(shards_[s], end);
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        worker_events_[static_cast<std::size_t>(w)] = executed;
-        ++done_count_;
-      }
-      cv_done_.notify_one();
+      s.inbox.swap(s.pending);  // the spent inbox's storage takes new posts
+      s.pending.clear();
+      s.head = 0;
     }
   }
 
@@ -315,17 +231,6 @@ class ShardGroup {
   SimTime now_ = 0;
   SimTime window_end_ = 0;
   std::uint64_t windows_ = 0;
-  std::vector<ShardMessage> scratch_;
-
-  std::vector<std::thread> workers_;
-  std::vector<std::size_t> worker_events_;
-  std::mutex mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  std::uint64_t generation_ = 0;
-  int done_count_ = 0;
-  SimTime threaded_end_ = 0;
-  bool stop_ = false;
 };
 
 }  // namespace gridmon::sim

@@ -1,5 +1,6 @@
-# Runs PROGRAM with one argument ARG and fails unless it exits with
-# EXPECT_CODE and its stderr matches the regex EXPECT_STDERR.
+# Runs PROGRAM with the arguments in ARG and fails unless it exits with
+# EXPECT_CODE and its stderr matches the regex EXPECT_STDERR. ARG is a
+# CMake list: separate several arguments with $<SEMICOLON> in add_test.
 #   cmake -DPROGRAM=... -DARG=... -DEXPECT_CODE=2 -DEXPECT_STDERR=... -P expect_exit.cmake
 execute_process(COMMAND ${PROGRAM} ${ARG}
                 RESULT_VARIABLE code

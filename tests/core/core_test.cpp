@@ -126,7 +126,7 @@ TEST(MeasureTest, CollectsAllFourMetrics) {
   MeasureConfig mc;
   mc.warmup = 60;
   mc.duration = 120;
-  SweepPoint p = measure(tb, w, "lucky7", 10, mc);
+  MetricsReport p = measure(tb, w, "lucky7", 10, mc);
   EXPECT_EQ(p.x, 10);
   EXPECT_GT(p.throughput, 0.5);
   EXPECT_GT(p.response, 1.0);   // client tool + cache validation latency
@@ -137,8 +137,8 @@ TEST(MeasureTest, CollectsAllFourMetrics) {
 TEST(PrintFiguresTest, RendersAllMetricTables) {
   Series s;
   s.name = "MDS GRIS (cache)";
-  s.points.push_back(SweepPoint{10, 2.3, 3.4, 0.2, 11});
-  s.points.push_back(SweepPoint{100, 23.0, 3.5, 0.9, 40});
+  s.points.push_back(MetricsReport{10, 2.3, 3.4, 0.2, 11});
+  s.points.push_back(MetricsReport{100, 23.0, 3.5, 0.9, 40});
   std::ostringstream os;
   print_figures(os, 5, "Information Server", "No. of Users", {s});
   std::string out = os.str();

@@ -12,14 +12,14 @@ TEST(ReplicateTest, AveragesAcrossSeeds) {
   std::vector<std::uint64_t> used;
   auto run_one = [&](std::uint64_t seed) {
     used.push_back(seed);
-    SweepPoint p;
+    MetricsReport p;
     p.x = 7;
     p.throughput = static_cast<double>(seed);
     p.response = 2.0 * static_cast<double>(seed);
     return p;
   };
   double stddev = -1;
-  SweepPoint mean = replicate({1, 2, 3}, run_one, &stddev);
+  MetricsReport mean = replicate({1, 2, 3}, run_one, &stddev);
   EXPECT_EQ(used, (std::vector<std::uint64_t>{1, 2, 3}));
   EXPECT_DOUBLE_EQ(mean.x, 7);
   EXPECT_DOUBLE_EQ(mean.throughput, 2.0);
@@ -42,7 +42,7 @@ TEST(ReplicateTest, RealExperimentSeedsAgreeClosely) {
     return measure(tb, w, "lucky7", 50, mc);
   };
   double stddev = -1;
-  SweepPoint mean = replicate({11, 22, 33}, run_one, &stddev);
+  MetricsReport mean = replicate({11, 22, 33}, run_one, &stddev);
   EXPECT_GT(mean.throughput, 8.0);
   // Different seeds perturb only think-time phases: spread is tiny.
   EXPECT_LT(stddev, 0.15 * mean.throughput);
@@ -65,7 +65,7 @@ TEST(MeasureTest, RefusedRateReported) {
   MeasureConfig mc;
   mc.warmup = 30;
   mc.duration = 120;
-  SweepPoint p = measure(tb, w, "lucky7", 30, mc);
+  MetricsReport p = measure(tb, w, "lucky7", 30, mc);
   EXPECT_GT(p.refused, 0.1);
 }
 

@@ -27,8 +27,7 @@ namespace {
 /// the counters, and every completion. `fc` carries the user-model knobs
 /// (think time, retry ladder); the engine fields are set here.
 std::string run_digest(int users, int shards, std::uint64_t seed,
-                       int threads = 0, int gris_backlog = 0,
-                       FrontierConfig fc = {}) {
+                       int gris_backlog = 0, FrontierConfig fc = {}) {
   core::TestbedConfig tc;
   tc.seed = seed;
   core::Testbed tb(tc);
@@ -38,7 +37,6 @@ std::string run_digest(int users, int shards, std::uint64_t seed,
   auto scenario = core::make_scenario(tb, spec);
   scenario->prefill();
   fc.shards = shards;
-  fc.threads = threads;
   fc.admission_port = scenario->server_port();
   fc.server_host = spec.server_host();
   FrontierWorkload fw(tb, scenario->query_fn(), fc);
@@ -105,16 +103,12 @@ TEST(FrontierDeterminism, SeedsDiverge) {
   EXPECT_NE(run_digest(200, 2, 42), run_digest(200, 2, 43));
 }
 
-TEST(FrontierDeterminism, ThreadedMatchesSerial) {
-  EXPECT_EQ(run_digest(200, 4, 42, 0), run_digest(200, 4, 42, 3));
-}
-
 /// A tiny listen backlog saturates the port, so the batched refusal
 /// fast path (frontier.cpp flush_requests) carries most attempts; its
 /// cohorts must be shard-count-independent too.
 TEST(FrontierDeterminism, SaturatedFastPathIsShardInvariant) {
-  std::string k1 = run_digest(300, 1, 42, 0, /*gris_backlog=*/4);
-  std::string k3 = run_digest(300, 3, 42, 0, /*gris_backlog=*/4);
+  std::string k1 = run_digest(300, 1, 42, /*gris_backlog=*/4);
+  std::string k3 = run_digest(300, 3, 42, /*gris_backlog=*/4);
   EXPECT_EQ(normalize(k1), normalize(k3));
   // The run must actually have exercised the batched path.
   EXPECT_EQ(k1.find(" fast=0 "), std::string::npos)
@@ -128,7 +122,7 @@ TEST(FrontierDeterminism, SaturatedFastPathIsShardInvariant) {
 /// perfbench run.
 TEST(FrontierDeterminism, MatchesRecordedDigests) {
   EXPECT_EQ(pin(run_digest(300, 1, 42)), "480bb644f87104c7");
-  EXPECT_EQ(pin(run_digest(300, 1, 42, 0, /*gris_backlog=*/4)),
+  EXPECT_EQ(pin(run_digest(300, 1, 42, /*gris_backlog=*/4)),
             "cd3cfa8f28012b46");
 }
 
@@ -137,8 +131,8 @@ TEST(FrontierDeterminism, MatchesRecordedDigests) {
 TEST(FrontierDeterminism, ThinkTimeBelowLookaheadKeepsOrder) {
   FrontierConfig fc;
   fc.think_time = 0.002;
-  std::string k1 = run_digest(300, 1, 42, 0, 0, fc);
-  EXPECT_EQ(normalize(k1), normalize(run_digest(300, 3, 42, 0, 0, fc)));
+  std::string k1 = run_digest(300, 1, 42, 0, fc);
+  EXPECT_EQ(normalize(k1), normalize(run_digest(300, 3, 42, 0, fc)));
   EXPECT_EQ(pin(k1), "02571a89d1ad9c92");
 }
 
@@ -147,9 +141,9 @@ TEST(FrontierDeterminism, ThinkTimeBelowLookaheadKeepsOrder) {
 TEST(FrontierDeterminism, WideRetryStepKeepsOrder) {
   FrontierConfig fc;
   fc.retry_schedule = {3, 200};
-  std::string k1 = run_digest(300, 1, 42, 0, /*gris_backlog=*/4, fc);
+  std::string k1 = run_digest(300, 1, 42, /*gris_backlog=*/4, fc);
   EXPECT_EQ(normalize(k1),
-            normalize(run_digest(300, 3, 42, 0, /*gris_backlog=*/4, fc)));
+            normalize(run_digest(300, 3, 42, /*gris_backlog=*/4, fc)));
   EXPECT_EQ(pin(k1), "fe9a1f20f5a51bc4");
 }
 
@@ -171,6 +165,11 @@ TEST(FrontierWorkloadApi, RejectsBadConfigs) {
   FrontierConfig backwards;
   backwards.retry_schedule = {3, -1};
   EXPECT_THROW(FrontierWorkload(tb, scenario->query_fn(), backwards),
+               std::invalid_argument);
+  // Shards always run serially; a thread count is never silently dropped.
+  FrontierConfig threaded;
+  threaded.threads = 2;
+  EXPECT_THROW(FrontierWorkload(tb, scenario->query_fn(), threaded),
                std::invalid_argument);
   FrontierConfig ok;
   FrontierWorkload fw(tb, scenario->query_fn(), ok);

@@ -83,12 +83,22 @@ TEST(SpecBuilderTest, EngineSectionParses) {
       "service = gris\n"
       "[engine]\n"
       "shards = 8\n"
-      "threads = 2\n"
       "lookahead = 0.005\n");
   EXPECT_EQ(spec.engine.shards, 8);
-  EXPECT_EQ(spec.engine.threads, 2);
   EXPECT_DOUBLE_EQ(spec.engine.lookahead, 0.005);
   EXPECT_TRUE(spec.engine.sharded());
+}
+
+TEST(SpecBuilderTest, EngineThreadsKeyIsUnknown) {
+  // The sharded engine runs on one thread; the old knob is a typo now.
+  try {
+    parse_scenario_spec(
+        "[experiment]\nservice = gris\n[engine]\nshards = 4\nthreads = 2\n");
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("unknown key 'threads'"), std::string::npos) << msg;
+  }
 }
 
 TEST(SpecBuilderTest, ShardedEngineRejectsUnsupportedCombinations) {

@@ -59,7 +59,7 @@ FaultRun run_faulted_gris(std::uint64_t seed) {
   mc.duration = 150;
   mc.recovery_mark = 70;
   mc.collector = &collector;
-  core::SweepPoint p = core::measure(tb, workload, "lucky7", 5, mc);
+  core::MetricsReport p = core::measure(tb, workload, "lucky7", 5, mc);
 
   FaultRun out;
   std::ostringstream csv;

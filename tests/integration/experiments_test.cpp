@@ -18,7 +18,7 @@ MeasureConfig short_measure() {
   return mc;
 }
 
-SweepPoint run_gris(int users, bool cache) {
+MetricsReport run_gris(int users, bool cache) {
   Testbed tb;
   ScenarioSpec spec =
       SpecBuilder()
@@ -73,7 +73,7 @@ TEST(Exp1Integration, AgentThroughputHitsSingleThreadCeiling) {
 
 TEST(Exp2Integration, DirectoryServersRankAsInThePaper) {
   const int kUsers = 200;
-  SweepPoint giis, manager, registry;
+  MetricsReport giis, manager, registry;
   {
     Testbed tb;
     ScenarioSpec spec = SpecBuilder().service(ServiceKind::Giis).build();

@@ -25,7 +25,7 @@
 namespace gridmon::core {
 namespace {
 
-SweepPoint run_mini(const ScenarioSpec& spec, int users) {
+MetricsReport run_mini(const ScenarioSpec& spec, int users) {
   Testbed tb;
   auto scenario = make_scenario(tb, spec);
   scenario->prefill();
@@ -46,7 +46,7 @@ std::string mini_experiments_csv() {
   // Serialized through the shared MetricsReport schema: the core group
   // is exactly the historical six-column row the goldens were recorded
   // with, and the stream's precision(17) makes the bytes round-trip.
-  auto add = [&](const std::string& name, const SweepPoint& p) {
+  auto add = [&](const std::string& name, const MetricsReport& p) {
     const std::vector<std::string> prefix{name};
     write_csv_row(csv, p, kMetricCore, prefix);
     csv << '\n';

@@ -35,7 +35,7 @@ TEST(TraceAccountingTest, CpuTimelineMatchesSamplerUtilization) {
   mc.collector = &collector;
   double t0 = tb.sim().now() + mc.warmup;
   double t1 = t0 + mc.duration;
-  core::SweepPoint p = core::measure(tb, workload, "lucky7", 40, mc);
+  core::MetricsReport p = core::measure(tb, workload, "lucky7", 40, mc);
 
   trace::TraceData data = collector.take();
   ASSERT_FALSE(data.counters.empty());

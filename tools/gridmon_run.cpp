@@ -49,28 +49,21 @@ int main(int argc, char** argv) {
     if (opt.users > 0) overrides.users({opt.users});
     if (opt.quick) overrides.window(30, 120);
     spec = overrides.build();
+    // Check the whole sweep before any Testbed is built. The frontier
+    // sizes its UC pool to fit the users instead, but cannot trace.
+    if (!spec.engine.sharded()) {
+      for (int n : spec.users) checked_users_per_host(spec, n);
+    } else if (!opt.trace_path.empty()) {
+      throw ConfigError(
+          "--trace: the sharded engine ([engine] shards >= 1) cannot "
+          "trace; run with shards = 0");
+    }
   } catch (const ConfigError& e) {
     std::cerr << "config error: " << e.what() << "\n";
     return 2;
   }
 
   bool sharded = spec.engine.sharded();
-  // The legacy engine seats users on the default testbed's client hosts
-  // at a per-host cap (the frontier sizes its UC pool to fit instead).
-  // Check the whole sweep before any Testbed is built.
-  const int per_host = spec.lucky_clients ? 100 : 50;
-  const int client_hosts =
-      spec.lucky_clients ? Testbed::kLuckyNodes : TestbedConfig{}.uc_clients;
-  for (int n : spec.users) {
-    if (!sharded && n > per_host * client_hosts) {
-      std::cerr << "config error: users = " << n << " exceeds "
-                << per_host * client_hosts << ", the " << per_host
-                << "-per-host cap on " << client_hosts << " "
-                << (spec.lucky_clients ? "lucky" : "uc")
-                << " client hosts\n";
-      return 2;
-    }
-  }
   std::cout << "service: " << spec.service_name()
             << ", collectors: " << spec.collectors
             << ", clients: " << (spec.lucky_clients ? "lucky" : "uc")
@@ -79,10 +72,6 @@ int main(int argc, char** argv) {
     std::cout << ", engine: sharded (" << spec.engine.shards << " shards)";
   }
   std::cout << "\n\n";
-  if (sharded && !opt.trace_path.empty()) {
-    std::cerr << "note: tracing is not supported by the sharded engine; "
-                 "ignoring --trace\n";
-  }
 
   bool with_faults = !spec.faults.empty();
   bool with_store = spec.store.enabled();
@@ -145,13 +134,13 @@ int main(int argc, char** argv) {
     std::unique_ptr<UserWorkload> workload;
     std::unique_ptr<FrontierWorkload> frontier;
     fault::Injector injector(tb.sim(), &tb.network());
-    SweepPoint p;
+    MetricsReport p;
     if (sharded) {
-      // Spec validation already rejected faults/resilience/tracing-era
-      // knobs; the sharded path is scenario + frontier + one window.
+      // Spec validation already rejected faults and resilience, and
+      // --trace was rejected above; the sharded path is scenario +
+      // frontier + one window.
       FrontierConfig fc;
       fc.shards = spec.engine.shards;
-      fc.threads = spec.engine.threads;
       fc.lookahead = spec.engine.lookahead;
       fc.admission_port = scenario->server_port();
       fc.server_host = spec.server_host();
@@ -163,7 +152,7 @@ int main(int argc, char** argv) {
                                    spec.server_host());
     } else {
       WorkloadConfig wc;
-      wc.max_users_per_host = per_host;
+      wc.max_users_per_host = checked_users_per_host(spec, n);
       wc.query_deadline = spec.query_deadline;
       wc.max_attempts = spec.max_attempts;
       if (with_resilience) wc.resilience = spec.resilience.client;
