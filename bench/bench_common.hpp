@@ -7,10 +7,13 @@
 /// (Testbed + make_scenario + UserWorkload + measure) every closed-loop
 /// bench runs.
 
+#include <cctype>
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -75,6 +78,22 @@ inline void print_usage(const char* argv0, const std::string& extra) {
       << "the environment implies --quick.\n";
 }
 
+/// `value` as a positive int, or exit 2 naming `flag`: trailing
+/// characters, a sign, zero and overflow are all rejected.
+inline int positive_int_flag(const char* program, const std::string& flag,
+                             const std::string& value) {
+  char* end = nullptr;
+  long v = std::strtol(value.c_str(), &end, 10);
+  bool digits =
+      !value.empty() && std::isdigit(static_cast<unsigned char>(value[0]));
+  if (!digits || *end != '\0' || v <= 0 ||
+      v > std::numeric_limits<int>::max()) {
+    std::cerr << program << ": " << flag << " needs a positive integer\n";
+    std::exit(2);
+  }
+  return static_cast<int>(v);
+}
+
 /// Parse the shared CLI. Unknown flags are an error (exit 2); positional
 /// arguments are an error unless `allow_positional` (gridmon_run's config
 /// path) is set.
@@ -115,11 +134,7 @@ inline BenchOptions parse_options(int argc, char** argv,
         std::exit(2);
       }
     } else if (value(arg, "--users", i, v)) {
-      opt.users = std::atoi(v.c_str());
-      if (opt.users <= 0) {
-        std::cerr << argv[0] << ": --users needs a positive integer\n";
-        std::exit(2);
-      }
+      opt.users = positive_int_flag(argv[0], "--users", v);
     } else if (arg == "--help" || arg == "-h") {
       print_usage(argv[0], extra_help);
       std::exit(0);

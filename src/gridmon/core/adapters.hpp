@@ -21,10 +21,8 @@ namespace gridmon::core {
 inline TracedQueryFn query_gris(mds::Gris& gris,
                                 mds::QueryScope scope = mds::QueryScope::All) {
   return [gris = &gris, scope](net::Interface& client,
-                        trace::Ctx ctx) -> sim::Task<QueryAttempt> {
-    auto r = co_await gris->query(client, scope, ctx);
-    co_return QueryAttempt{r.admitted, r.response_bytes, r.timed_out,
-                           r.failed, r.stale};
+                        trace::Ctx ctx) -> sim::Task<net::Outcome> {
+    co_return co_await gris->query(client, scope, ctx);
   };
 }
 
@@ -32,40 +30,32 @@ inline TracedQueryFn query_gris(mds::Gris& gris,
 inline TracedQueryFn query_giis(
     mds::Giis& giis, mds::QueryScope scope = mds::QueryScope::Part) {
   return [giis = &giis, scope](net::Interface& client,
-                        trace::Ctx ctx) -> sim::Task<QueryAttempt> {
-    auto r = co_await giis->query(client, scope, ctx);
-    co_return QueryAttempt{r.admitted, r.response_bytes, r.timed_out,
-                           r.failed, r.stale};
+                        trace::Ctx ctx) -> sim::Task<net::Outcome> {
+    co_return co_await giis->query(client, scope, ctx);
   };
 }
 
 /// Hawkeye information server (Agent) query: fresh module collection.
 inline TracedQueryFn query_agent(hawkeye::Agent& agent) {
   return [agent = &agent](net::Interface& client,
-                  trace::Ctx ctx) -> sim::Task<QueryAttempt> {
-    auto r = co_await agent->query(client, ctx);
-    co_return QueryAttempt{r.admitted, r.response_bytes, r.timed_out,
-                           r.failed, r.stale};
+                  trace::Ctx ctx) -> sim::Task<net::Outcome> {
+    co_return co_await agent->query(client, ctx);
   };
 }
 
 /// Hawkeye directory server (Manager) status query.
 inline TracedQueryFn query_manager_status(hawkeye::Manager& manager) {
   return [manager = &manager](net::Interface& client,
-                    trace::Ctx ctx) -> sim::Task<QueryAttempt> {
-    auto r = co_await manager->query_status(client, ctx);
-    co_return QueryAttempt{r.admitted, r.response_bytes, r.timed_out,
-                           r.failed, r.stale};
+                    trace::Ctx ctx) -> sim::Task<net::Outcome> {
+    co_return co_await manager->query_status(client, ctx);
   };
 }
 
 /// Hawkeye full-data dump (Experiment 3's workload against the pool).
 inline TracedQueryFn query_manager_dump(hawkeye::Manager& manager) {
   return [manager = &manager](net::Interface& client,
-                    trace::Ctx ctx) -> sim::Task<QueryAttempt> {
-    auto r = co_await manager->query_dump(client, ctx);
-    co_return QueryAttempt{r.admitted, r.response_bytes, r.timed_out,
-                           r.failed, r.stale};
+                    trace::Ctx ctx) -> sim::Task<net::Outcome> {
+    co_return co_await manager->query_dump(client, ctx);
   };
 }
 
@@ -73,10 +63,8 @@ inline TracedQueryFn query_manager_dump(hawkeye::Manager& manager) {
 inline TracedQueryFn query_manager_constraint(hawkeye::Manager& manager,
                                               std::string constraint) {
   return [manager = &manager, constraint](net::Interface& client,
-                                trace::Ctx ctx) -> sim::Task<QueryAttempt> {
-    auto r = co_await manager->query_constraint(client, constraint, ctx);
-    co_return QueryAttempt{r.admitted, r.response_bytes, r.timed_out,
-                           r.failed, r.stale};
+                                trace::Ctx ctx) -> sim::Task<net::Outcome> {
+    co_return co_await manager->query_constraint(client, constraint, ctx);
   };
 }
 
@@ -84,10 +72,8 @@ inline TracedQueryFn query_manager_constraint(hawkeye::Manager& manager,
 inline TracedQueryFn query_consumer_servlet(rgma::ConsumerServlet& cs,
                                             std::string table) {
   return [cs = &cs, table](net::Interface& client,
-                      trace::Ctx ctx) -> sim::Task<QueryAttempt> {
-    auto r = co_await cs->query(client, table, "", ctx);
-    co_return QueryAttempt{r.admitted, r.response_bytes, r.timed_out,
-                           r.failed, r.stale};
+                      trace::Ctx ctx) -> sim::Task<net::Outcome> {
+    co_return co_await cs->query(client, table, "", ctx);
   };
 }
 
@@ -96,10 +82,8 @@ inline TracedQueryFn query_consumer_servlet(rgma::ConsumerServlet& cs,
 inline TracedQueryFn query_producer_servlet(rgma::ProducerServlet& ps,
                                             std::string table) {
   return [ps = &ps, table](net::Interface& client,
-                      trace::Ctx ctx) -> sim::Task<QueryAttempt> {
-    auto r = co_await ps->client_query(client, table, "", ctx);
-    co_return QueryAttempt{r.admitted, r.response_bytes, r.timed_out,
-                           r.failed, r.stale};
+                      trace::Ctx ctx) -> sim::Task<net::Outcome> {
+    co_return co_await ps->client_query(client, table, "", ctx);
   };
 }
 
@@ -107,10 +91,8 @@ inline TracedQueryFn query_producer_servlet(rgma::ProducerServlet& ps,
 inline TracedQueryFn query_registry(rgma::Registry& registry,
                                     std::string table) {
   return [registry = &registry, table](net::Interface& client,
-                            trace::Ctx ctx) -> sim::Task<QueryAttempt> {
-    auto r = co_await registry->client_query(client, table, ctx);
-    co_return QueryAttempt{r.admitted, r.response_bytes, r.timed_out,
-                           r.failed, r.stale};
+                            trace::Ctx ctx) -> sim::Task<net::Outcome> {
+    co_return co_await registry->client_query(client, table, ctx);
   };
 }
 

@@ -12,7 +12,7 @@ namespace gridmon::core {
 MetricsReport measure(Testbed& testbed, UserWorkload& workload,
                       const std::string& server_host, double x,
                       MeasureConfig config) {
-  testbed.sim().run(testbed.sim().now() + config.warmup);
+  std::size_t events = testbed.sim().run(testbed.sim().now() + config.warmup);
   double t0 = testbed.sim().now();
   double refused_before = static_cast<double>(workload.refused_attempts());
   double errors_before = static_cast<double>(workload.error_count());
@@ -23,12 +23,13 @@ MetricsReport measure(Testbed& testbed, UserWorkload& workload,
                            ? static_cast<double>(config.port->total_shed())
                            : 0;
   if (config.collector != nullptr) config.collector->set_enabled(true);
-  testbed.sim().run(t0 + config.duration);
+  events += testbed.sim().run(t0 + config.duration);
   if (config.collector != nullptr) config.collector->set_enabled(false);
   double t1 = testbed.sim().now();
 
   MetricsReport p;
   p.x = x;
+  p.events = static_cast<double>(events);
   p.throughput = workload.throughput(t0, t1);
   p.response = workload.mean_response(t0, t1);
   p.load1 = testbed.sampler().series(server_host + ".load1").mean_over(t0, t1);

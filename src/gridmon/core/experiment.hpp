@@ -51,7 +51,8 @@ struct MeasureConfig {
 };
 
 /// Run the clock through warmup+duration and collect a MetricsReport for
-/// `workload` with host metrics from `server_host`.
+/// `workload` with host metrics from `server_host`. `events` counts the
+/// simulator events of both stretches; the wall-clock fields stay unset.
 MetricsReport measure(Testbed& testbed, UserWorkload& workload,
                       const std::string& server_host, double x,
                       MeasureConfig config = {});

@@ -271,7 +271,7 @@ sim::Task<void> FrontierWorkload::gateway_attempt(FrontierWorkload& self,
   std::size_t slot = static_cast<std::size_t>(uid % self.nics_.size());
   ++self.attempts_;
   ++self.outstanding_;
-  QueryAttempt a = co_await self.query_(*self.nics_[slot], trace::Ctx{});
+  net::Outcome a = co_await self.query_(*self.nics_[slot], trace::Ctx{});
   bool ok = a.admitted && !a.failed && !a.timed_out;
   std::uint64_t flags = 0;
   if (ok) flags |= kFlagOk;

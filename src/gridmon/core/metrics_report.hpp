@@ -44,9 +44,9 @@ struct MetricsReport {
   double retry_amp = 0;  // attempts per started query over the window
                          // (1.0 = no retries)
 
-  // ---- engine stats (filled by the bench harness, not measure():
-  // wall-clock measurement is banned inside src/gridmon by the
-  // determinism contract) ----
+  // ---- engine stats (measure() counts events; the wall-clock fields
+  // are filled by the bench harness: wall-clock measurement is banned
+  // inside src/gridmon by the determinism contract) ----
   double events = 0;          // simulator events processed over the run
   double wall_clock_s = 0;    // host wall-clock seconds for the run
   double events_per_sec = 0;  // events / wall_clock_s

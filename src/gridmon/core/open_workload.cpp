@@ -60,14 +60,14 @@ sim::Task<void> OpenWorkload::one_query(OpenWorkload& self,
   ++self.outstanding_;
   double started = sim.now();
   self.policy_.on_query();
-  QueryAttempt attempt;
+  net::Outcome attempt;
   int retry = 0;
   for (;;) {
     // Circuit breaker: while Open the attempt fails locally, costing the
     // network and server nothing.
     bool fast_failed = !self.policy_.allow(sim.now());
     if (fast_failed) {
-      attempt = QueryAttempt{};
+      attempt = net::Outcome{};
     } else {
       ++self.attempts_;
       attempt = co_await self.query_(nic);

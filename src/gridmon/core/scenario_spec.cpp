@@ -60,7 +60,7 @@ std::string ScenarioSpec::server_host() const {
   switch (service) {
     case ServiceKind::Gris:
     case ServiceKind::GrisNocache:
-      return gris_host;
+      return GrisScenario::kHost;
     case ServiceKind::Giis:
     case ServiceKind::GiisAggregate:
       return "lucky0";
@@ -132,8 +132,7 @@ std::unique_ptr<Scenario> build_scenario(Testbed& tb,
       mds::GrisConfig gc;
       gc.cache_enabled = spec.service == ServiceKind::Gris;
       if (spec.gris_backlog > 0) gc.backlog = spec.gris_backlog;
-      auto s = std::make_unique<GrisScenario>(tb, spec_providers(spec), gc,
-                                              spec.gris_host);
+      auto s = std::make_unique<GrisScenario>(tb, spec_providers(spec), gc);
       s->set_query(query_gris(*s->gris));
       return s;
     }
@@ -257,10 +256,8 @@ std::unique_ptr<Scenario> build_scenario(Testbed& tb,
       auto s = std::make_unique<CompositeScenario>(tb, spec.sources);
       auto* composite = s->composite.get();
       s->set_query([composite](net::Interface& client,
-                               trace::Ctx) -> sim::Task<QueryAttempt> {
-        auto r = co_await composite->client_query(client);
-        co_return QueryAttempt{r.admitted, r.response_bytes, r.timed_out,
-                               r.failed, r.stale};
+                               trace::Ctx) -> sim::Task<net::Outcome> {
+        co_return co_await composite->client_query(client);
       });
       return s;
     }

@@ -185,7 +185,6 @@ struct ScenarioSpec {
   std::uint64_t seed = 42;
 
   // ---- topology knobs for specific services (ignored elsewhere) ----
-  std::string gris_host = "lucky7";  // Gris*: hosting machine
   int gris_count = 5;       // Giis / GiisAggregate / Hierarchy
   int machines = 100;       // ManagerAggregate: advertisers
   bool two_level = false;   // Hierarchy: route via site GIISes
@@ -268,7 +267,6 @@ class SpecBuilder {
     return *this;
   }
   SpecBuilder& seed(std::uint64_t v) { spec_.seed = v; return *this; }
-  SpecBuilder& gris_host(std::string v) { spec_.gris_host = std::move(v); return *this; }
   SpecBuilder& gris_count(int v) { spec_.gris_count = v; return *this; }
   SpecBuilder& machines(int v) { spec_.machines = v; return *this; }
   SpecBuilder& two_level(bool v) { spec_.two_level = v; return *this; }

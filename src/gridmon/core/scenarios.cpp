@@ -40,23 +40,22 @@ std::vector<mds::ProviderSpec> default_providers(int count) {
   return specs;
 }
 
-GrisScenario::GrisScenario(Testbed& tb, int providers, bool cache,
-                           const std::string& host)
-    : GrisScenario(tb, default_providers(providers), cache, host) {}
+GrisScenario::GrisScenario(Testbed& tb, int providers, bool cache)
+    : GrisScenario(tb, default_providers(providers), cache) {}
 
 GrisScenario::GrisScenario(Testbed& tb, std::vector<mds::ProviderSpec> providers,
-                           bool cache, const std::string& host)
+                           bool cache)
     : GrisScenario(tb, std::move(providers),
                    [cache] {
                      mds::GrisConfig config;
                      config.cache_enabled = cache;
                      return config;
-                   }(),
-                   host) {}
+                   }()) {}
 
 GrisScenario::GrisScenario(Testbed& tb, std::vector<mds::ProviderSpec> providers,
-                           mds::GrisConfig config, const std::string& host)
+                           mds::GrisConfig config)
     : Scenario(tb) {
+  const std::string host = kHost;
   gris = std::make_unique<mds::Gris>(tb.network(), tb.host(host), tb.nic(host),
                                      host + ".mcs.anl.gov",
                                      std::move(providers), config);
@@ -128,12 +127,10 @@ TracedQueryFn RgmaScenario::mediated_query(const std::string& table) {
   // for the whole run; no query coroutine outlives it (sim.shutdown()
   // drains frames before the scenario is destroyed).
   return [this, table](net::Interface& client,
-                       trace::Ctx ctx) -> sim::Task<QueryAttempt> {
+                       trace::Ctx ctx) -> sim::Task<net::Outcome> {
     auto it = consumer_servlets.find(client.host());
     if (it == consumer_servlets.end()) it = consumer_servlets.begin();
-    auto r = co_await it->second->query(client, table, "", ctx);
-    co_return QueryAttempt{r.admitted, r.response_bytes, r.timed_out,
-                           r.failed, r.stale};
+    co_return co_await it->second->query(client, table, "", ctx);
   };
 }
 
@@ -142,10 +139,9 @@ TracedQueryFn RgmaScenario::direct_query(const std::string& table) {
   // argument as mediated_query above: the Experiment keeps the scenario
   // alive past the last query coroutine.
   return [this, table](net::Interface& client,
-                       trace::Ctx ctx) -> sim::Task<QueryAttempt> {
-    auto r = co_await producer_servlet->client_query(client, table, "", ctx);
-    co_return QueryAttempt{r.admitted, r.response_bytes, r.timed_out,
-                           r.failed, r.stale};
+                       trace::Ctx ctx) -> sim::Task<net::Outcome> {
+    co_return co_await producer_servlet->client_query(client, table, "",
+                                                      ctx);
   };
 }
 
@@ -406,11 +402,9 @@ TracedQueryFn HierarchyScenario::site_routed_query() {
   // mutably for the next_ round-robin cursor; the scenario outlives every
   // query coroutine (owned by the Experiment for the full run).
   return [this](net::Interface& client,
-                trace::Ctx ctx) -> sim::Task<QueryAttempt> {
+                trace::Ctx ctx) -> sim::Task<net::Outcome> {
     auto& mid = *mids[next_++ % mids.size()];
-    auto r = co_await mid.query(client, mds::QueryScope::Part, ctx);
-    co_return QueryAttempt{r.admitted, r.response_bytes, r.timed_out,
-                           r.failed, r.stale};
+    co_return co_await mid.query(client, mds::QueryScope::Part, ctx);
   };
 }
 
@@ -527,11 +521,9 @@ TracedQueryFn ReplicatedRgmaScenario::balanced_query(const std::string& table) {
   // next_ balance cursor; the scenario outlives every query coroutine
   // (owned by the Experiment for the full run).
   return [this, table](net::Interface& client,
-                       trace::Ctx ctx) -> sim::Task<QueryAttempt> {
+                       trace::Ctx ctx) -> sim::Task<net::Outcome> {
     auto& servlet = *servlets[next_++ % servlets.size()];
-    auto r = co_await servlet.client_query(client, table, "", ctx);
-    co_return QueryAttempt{r.admitted, r.response_bytes, r.timed_out,
-                           r.failed, r.stale};
+    co_return co_await servlet.client_query(client, table, "", ctx);
   };
 }
 

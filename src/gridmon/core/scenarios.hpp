@@ -99,20 +99,22 @@ std::vector<mds::ProviderSpec> default_providers(int count = 10);
 
 // ---- Experiment 1 / 3: information servers ----
 
-/// A GRIS with `providers` information providers on `host` (paper:
-/// lucky7). `cache` false reproduces the "nocache" configuration.
+/// A GRIS with `providers` information providers on `kHost`.
+/// `cache` false reproduces the "nocache" configuration.
 struct GrisScenario : Scenario {
+  /// The GRIS machine of Experiments 1 and 3 (paper: lucky7).
+  static constexpr const char* kHost = "lucky7";
+
   ~GrisScenario() override { testbed_.sim().shutdown(); }
 
-  GrisScenario(Testbed& tb, int providers, bool cache,
-               const std::string& host = "lucky7");
+  GrisScenario(Testbed& tb, int providers, bool cache);
   /// Explicit provider specs (the TTL / entry-volume ablations).
   GrisScenario(Testbed& tb, std::vector<mds::ProviderSpec> providers,
-               bool cache, const std::string& host = "lucky7");
+               bool cache);
   /// Full config control (the overload ablations shrink the listen
   /// backlog so the admission queue, not slapd's internals, is the bound).
   GrisScenario(Testbed& tb, std::vector<mds::ProviderSpec> providers,
-               mds::GrisConfig config, const std::string& host = "lucky7");
+               mds::GrisConfig config);
   void instrument(trace::Collector& col) override { gris->instrument(col); }
   void register_faults(fault::Injector& inj) override {
     inj.add_service("server", *gris);

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "gridmon/core/scenario_spec.hpp"
@@ -51,6 +53,28 @@ std::vector<int> parse_int_list(const std::string& value) {
 
 int parse_int(const std::string& value) {
   return parse_int_list(value).front();
+}
+
+/// A whole number in [0, max]: digits only, so "2.9", "1e30" and "-1"
+/// are errors rather than truncated or out-of-range casts.
+std::uint64_t parse_count(const std::string& value, std::uint64_t max) {
+  if (value.empty() ||
+      value.find_first_not_of("0123456789") != std::string::npos) {
+    throw ConfigError("expected a whole number, got '" + value + "'");
+  }
+  try {
+    unsigned long long v = std::stoull(value);
+    if (v > max) throw std::out_of_range(value);
+    return v;
+  } catch (const std::exception&) {
+    throw ConfigError("'" + value + "' is out of range (at most " +
+                      std::to_string(max) + ")");
+  }
+}
+
+int parse_count_int(const std::string& value) {
+  return static_cast<int>(
+      parse_count(value, std::numeric_limits<int>::max()));
 }
 
 double parse_double(const std::string& value) {
@@ -161,7 +185,7 @@ void apply_experiment_key(ScenarioSpec& spec, const std::string& key,
   } else if (key == "duration") {
     spec.duration = parse_double(value);
   } else if (key == "seed") {
-    spec.seed = static_cast<std::uint64_t>(parse_double(value));
+    spec.seed = parse_count(value, std::numeric_limits<std::uint64_t>::max());
   } else if (key == "gris_count") {
     spec.gris_count = parse_int(value);
   } else if (key == "machines") {
@@ -219,7 +243,7 @@ void apply_fault_key(ScenarioSpec& spec, const std::string& key,
   } else if (key == "query_deadline") {
     spec.query_deadline = parse_double(value);
   } else if (key == "max_attempts") {
-    spec.max_attempts = static_cast<int>(parse_double(value));
+    spec.max_attempts = parse_count_int(value);
   } else {
     throw ConfigError("unknown key '" + key + "'");
   }
@@ -303,7 +327,7 @@ void apply_engine_key(ScenarioSpec& spec, const std::string& key,
                       const std::string& value) {
   if (key == "shards") {
     // 0 (legacy) is a legal value here, so bypass parse_int's > 0 rule.
-    spec.engine.shards = static_cast<int>(parse_double(value));
+    spec.engine.shards = parse_count_int(value);
   } else if (key == "lookahead") {
     spec.engine.lookahead = parse_double(value);
   } else {
@@ -366,7 +390,6 @@ void validate_spec(const ScenarioSpec& spec, std::vector<std::string>& out) {
   require(spec.collectors > 0, "collectors must be positive");
   require(spec.warmup >= 0, "warmup must be non-negative");
   require(spec.duration > 0, "duration must be positive");
-  require(!spec.gris_host.empty(), "gris_host must name a machine");
   require(spec.gris_count > 0, "gris_count must be positive");
   require(spec.machines > 0, "machines must be positive");
   require(spec.replicas > 0, "replicas must be positive");

@@ -15,14 +15,14 @@ namespace {
 /// keeps running (the server still does the work) and posts its result
 /// into a box nobody reads.
 struct AttemptBox {
-  std::optional<QueryAttempt> result;
+  std::optional<net::Outcome> result;
   sim::Event done;
   explicit AttemptBox(sim::Simulation& s) : done(s) {}
 };
 
 sim::Task<void> run_attempt(const TracedQueryFn& query, net::Interface& nic,
                             trace::Ctx ctx, std::shared_ptr<AttemptBox> box) {
-  QueryAttempt a = co_await query(nic, ctx);
+  net::Outcome a = co_await query(nic, ctx);
   box->result = a;
   box->done.trigger();
 }
@@ -86,7 +86,7 @@ sim::Task<void> UserWorkload::user_loop(UserWorkload& self, host::Host& host,
     std::size_t retry = 0;
     int attempts = 0;
     bool abandoned = false;
-    QueryAttempt attempt;
+    net::Outcome attempt;
     // One trace per user query (null Ctx while the collector is off or
     // absent, which keeps the whole iteration allocation-free).
     trace::Ctx root = self.collector_ != nullptr
@@ -101,7 +101,7 @@ sim::Task<void> UserWorkload::user_loop(UserWorkload& self, host::Host& host,
         // client-side decisions, so they do not count as refusals.
         bool fast_failed = !self.policy_.allow(sim.now());
         if (fast_failed) {
-          attempt = QueryAttempt{};
+          attempt = net::Outcome{};
         } else if (deadline < 0) {
           ++self.attempts_;
           attempt = co_await self.query_(nic, query_span.ctx());

@@ -15,6 +15,7 @@
 
 #include "gridmon/core/testbed.hpp"
 #include "gridmon/net/network.hpp"
+#include "gridmon/net/server_port.hpp"
 #include "gridmon/resilience/backoff.hpp"
 #include "gridmon/resilience/policy.hpp"
 #include "gridmon/sim/rng.hpp"
@@ -23,25 +24,16 @@
 
 namespace gridmon::core {
 
-/// One query attempt as seen by the client.
-struct QueryAttempt {
-  bool admitted = false;
-  double response_bytes = 0;
-  bool timed_out = false;  // a connect/transfer deadline expired on the way
-  bool failed = false;     // admitted, but the service could not answer
-  bool stale = false;      // answered from data older than the service's bound
-};
-
 /// A client-side query function: performs one complete attempt against a
-/// service from the given client NIC. Adapters for each service live in
-/// adapters.hpp.
-using QueryFn = std::function<sim::Task<QueryAttempt>(net::Interface&)>;
+/// service from the given client NIC and reports how it ended. Adapters
+/// for each service live in adapters.hpp.
+using QueryFn = std::function<sim::Task<net::Outcome>(net::Interface&)>;
 
 /// Trace-aware variant: also receives the query's trace context (the
 /// null Ctx when tracing is off). The adapters produce these; plain
 /// QueryFn lambdas in tests keep working via a wrapping constructor.
 using TracedQueryFn =
-    std::function<sim::Task<QueryAttempt>(net::Interface&, trace::Ctx)>;
+    std::function<sim::Task<net::Outcome>(net::Interface&, trace::Ctx)>;
 
 struct WorkloadConfig {
   double think_time = 1.0;          // the paper's 1-second wait

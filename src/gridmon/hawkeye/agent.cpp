@@ -50,38 +50,10 @@ sim::Task<classad::ClassAd> Agent::collect(trace::Ctx ctx) {
 
 sim::Task<HawkeyeReply> Agent::query(net::Interface& client, trace::Ctx ctx) {
   auto& sim = host_.simulation();
-  {
-    trace::Span tool(ctx, trace::SpanKind::ClientTool);
-    co_await sim.delay(config_.client_tool_latency);
-  }
-  if (!co_await net_.connect(client, nic_, ctx, config_.connect_timeout)) {
-    if (ctx) ctx.col->instant(ctx, trace::SpanKind::Timeout, machine_);
-    HawkeyeReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-  auto admission = co_await port_.admit(config_.connect_timeout);
-  if (admission != net::Admission::Ok) {
-    HawkeyeReply reply;
-    reply.timed_out = admission == net::Admission::TimedOut;
-    if (ctx) {
-      ctx.col->instant(ctx,
-                       reply.timed_out ? trace::SpanKind::Timeout
-                                       : trace::SpanKind::Refused,
-                       machine_);
-    }
-    co_return reply;
-  }
-  net::AdmissionSlot slot(&port_);
-  if (!co_await net_.transfer(client, nic_, config_.request_bytes, ctx,
-                              trace::SpanKind::RequestSend,
-                              config_.connect_timeout)) {
-    HawkeyeReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-
   HawkeyeReply reply;
+  net::AdmissionSlot slot =
+      co_await exchange_.open(client, config_.request_bytes, ctx, reply);
+  if (!slot) co_return reply;
   {
     trace::Span wait(ctx, trace::SpanKind::PoolWait, machine_);
     auto lease = co_await thread_.acquire();
@@ -109,11 +81,7 @@ sim::Task<HawkeyeReply> Agent::query(net::Interface& client, trace::Ctx ctx) {
   }
   // The startd hands the reply buffer to the kernel and moves on; unlike
   // the Manager's large result sets, a single ad fits the socket buffer.
-  if (!co_await net_.transfer(nic_, client, reply.response_bytes, ctx,
-                              trace::SpanKind::ResponseSend,
-                              config_.connect_timeout)) {
-    reply.timed_out = true;
-  }
+  co_await exchange_.respond(client, ctx, reply);
   co_return reply;
 }
 
@@ -121,38 +89,10 @@ sim::Task<HawkeyeReply> Agent::query_module(net::Interface& client,
                                             std::string module_name,
                                             trace::Ctx ctx) {
   auto& sim = host_.simulation();
-  {
-    trace::Span tool(ctx, trace::SpanKind::ClientTool);
-    co_await sim.delay(config_.client_tool_latency);
-  }
-  if (!co_await net_.connect(client, nic_, ctx, config_.connect_timeout)) {
-    if (ctx) ctx.col->instant(ctx, trace::SpanKind::Timeout, machine_);
-    HawkeyeReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-  auto admission = co_await port_.admit(config_.connect_timeout);
-  if (admission != net::Admission::Ok) {
-    HawkeyeReply reply;
-    reply.timed_out = admission == net::Admission::TimedOut;
-    if (ctx) {
-      ctx.col->instant(ctx,
-                       reply.timed_out ? trace::SpanKind::Timeout
-                                       : trace::SpanKind::Refused,
-                       machine_);
-    }
-    co_return reply;
-  }
-  net::AdmissionSlot slot(&port_);
-  if (!co_await net_.transfer(client, nic_, config_.request_bytes, ctx,
-                              trace::SpanKind::RequestSend,
-                              config_.connect_timeout)) {
-    HawkeyeReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-
   HawkeyeReply reply;
+  net::AdmissionSlot slot =
+      co_await exchange_.open(client, config_.request_bytes, ctx, reply);
+  if (!slot) co_return reply;
   {
     trace::Span wait(ctx, trace::SpanKind::PoolWait, machine_);
     auto lease = co_await thread_.acquire();
@@ -186,11 +126,7 @@ sim::Task<HawkeyeReply> Agent::query_module(net::Interface& client,
       reply.admitted = true;
     }
   }
-  if (!co_await net_.transfer(nic_, client, reply.response_bytes, ctx,
-                              trace::SpanKind::ResponseSend,
-                              config_.connect_timeout)) {
-    reply.timed_out = true;
-  }
+  co_await exchange_.respond(client, ctx, reply);
   co_return reply;
 }
 

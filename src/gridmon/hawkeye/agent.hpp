@@ -124,6 +124,8 @@ class Agent {
   AgentConfig config_;
   sim::Resource thread_;
   net::ServerPort port_;
+  net::Exchange exchange_{net_, nic_, port_, config_.client_tool_latency,
+                          config_.connect_timeout, machine_};
   std::uint64_t sequence_ = 0;
   std::uint64_t collections_ = 0;
   double forced_load_ = -1;

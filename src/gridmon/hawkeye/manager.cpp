@@ -181,39 +181,10 @@ sim::Task<bool> Manager::advertise(net::Interface& from, classad::ClassAd ad,
 
 sim::Task<HawkeyeReply> Manager::query_status(net::Interface& client,
                                               trace::Ctx ctx) {
-  auto& sim = host_.simulation();
-  {
-    trace::Span tool(ctx, trace::SpanKind::ClientTool);
-    co_await sim.delay(config_.client_tool_latency);
-  }
-  if (!co_await net_.connect(client, nic_, ctx, config_.connect_timeout)) {
-    if (ctx) ctx.col->instant(ctx, trace::SpanKind::Timeout, "manager");
-    HawkeyeReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-  auto admission = co_await port_.admit(config_.connect_timeout);
-  if (admission != net::Admission::Ok) {
-    HawkeyeReply reply;
-    reply.timed_out = admission == net::Admission::TimedOut;
-    if (ctx) {
-      ctx.col->instant(ctx,
-                       reply.timed_out ? trace::SpanKind::Timeout
-                                       : trace::SpanKind::Refused,
-                       "manager");
-    }
-    co_return reply;
-  }
-  net::AdmissionSlot slot(&port_);
-  if (!co_await net_.transfer(client, nic_, config_.request_bytes, ctx,
-                              trace::SpanKind::RequestSend,
-                              config_.connect_timeout)) {
-    HawkeyeReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-
   HawkeyeReply reply;
+  net::AdmissionSlot slot =
+      co_await exchange_.open(client, config_.request_bytes, ctx, reply);
+  if (!slot) co_return reply;
   {
     trace::Span wait(ctx, trace::SpanKind::PoolWait, "manager");
     auto lease = co_await thread_.acquire();
@@ -232,50 +203,17 @@ sim::Task<HawkeyeReply> Manager::query_status(net::Interface& client,
     reply.admitted = true;
     // Single-threaded daemon: the blocking response send happens inside
     // the service thread.
-    if (!co_await net_.transfer(nic_, client, reply.response_bytes, ctx,
-                                trace::SpanKind::ResponseSend,
-                                config_.connect_timeout)) {
-      reply.timed_out = true;
-    }
+    co_await exchange_.respond(client, ctx, reply);
   }
   co_return reply;
 }
 
 sim::Task<HawkeyeReply> Manager::query_dump(net::Interface& client,
                                             trace::Ctx ctx) {
-  auto& sim = host_.simulation();
-  {
-    trace::Span tool(ctx, trace::SpanKind::ClientTool);
-    co_await sim.delay(config_.client_tool_latency);
-  }
-  if (!co_await net_.connect(client, nic_, ctx, config_.connect_timeout)) {
-    if (ctx) ctx.col->instant(ctx, trace::SpanKind::Timeout, "manager");
-    HawkeyeReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-  auto admission = co_await port_.admit(config_.connect_timeout);
-  if (admission != net::Admission::Ok) {
-    HawkeyeReply reply;
-    reply.timed_out = admission == net::Admission::TimedOut;
-    if (ctx) {
-      ctx.col->instant(ctx,
-                       reply.timed_out ? trace::SpanKind::Timeout
-                                       : trace::SpanKind::Refused,
-                       "manager");
-    }
-    co_return reply;
-  }
-  net::AdmissionSlot slot(&port_);
-  if (!co_await net_.transfer(client, nic_, config_.request_bytes, ctx,
-                              trace::SpanKind::RequestSend,
-                              config_.connect_timeout)) {
-    HawkeyeReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-
   HawkeyeReply reply;
+  net::AdmissionSlot slot =
+      co_await exchange_.open(client, config_.request_bytes, ctx, reply);
+  if (!slot) co_return reply;
   {
     trace::Span wait(ctx, trace::SpanKind::PoolWait, "manager");
     auto lease = co_await thread_.acquire();
@@ -290,11 +228,7 @@ sim::Task<HawkeyeReply> Manager::query_dump(net::Interface& client,
     reply.machines = ads_.size();
     reply.response_bytes = bytes;
     reply.admitted = true;
-    if (!co_await net_.transfer(nic_, client, reply.response_bytes, ctx,
-                                trace::SpanKind::ResponseSend,
-                                config_.connect_timeout)) {
-      reply.timed_out = true;
-    }
+    co_await exchange_.respond(client, ctx, reply);
   }
   co_return reply;
 }
@@ -302,39 +236,12 @@ sim::Task<HawkeyeReply> Manager::query_dump(net::Interface& client,
 sim::Task<HawkeyeReply> Manager::query_constraint(
     net::Interface& client, std::string constraint, trace::Ctx ctx) {
   auto& sim = host_.simulation();
-  {
-    trace::Span tool(ctx, trace::SpanKind::ClientTool);
-    co_await sim.delay(config_.client_tool_latency);
-  }
-  if (!co_await net_.connect(client, nic_, ctx, config_.connect_timeout)) {
-    if (ctx) ctx.col->instant(ctx, trace::SpanKind::Timeout, "manager");
-    HawkeyeReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-  auto admission = co_await port_.admit(config_.connect_timeout);
-  if (admission != net::Admission::Ok) {
-    HawkeyeReply reply;
-    reply.timed_out = admission == net::Admission::TimedOut;
-    if (ctx) {
-      ctx.col->instant(ctx,
-                       reply.timed_out ? trace::SpanKind::Timeout
-                                       : trace::SpanKind::Refused,
-                       "manager");
-    }
-    co_return reply;
-  }
-  net::AdmissionSlot slot(&port_);
-  if (!co_await net_.transfer(
-          client, nic_,
-          config_.request_bytes + static_cast<double>(constraint.size()), ctx,
-          trace::SpanKind::RequestSend, config_.connect_timeout)) {
-    HawkeyeReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-
   HawkeyeReply reply;
+  net::AdmissionSlot slot = co_await exchange_.open(
+      client,
+      config_.request_bytes + static_cast<double>(constraint.size()), ctx,
+      reply);
+  if (!slot) co_return reply;
   {
     trace::Span wait(ctx, trace::SpanKind::PoolWait, "manager");
     auto lease = co_await thread_.acquire();
@@ -362,11 +269,7 @@ sim::Task<HawkeyeReply> Manager::query_constraint(
     reply.machines = matches;
     reply.response_bytes = bytes;
     reply.admitted = true;
-    if (!co_await net_.transfer(nic_, client, reply.response_bytes, ctx,
-                                trace::SpanKind::ResponseSend,
-                                config_.connect_timeout)) {
-      reply.timed_out = true;
-    }
+    co_await exchange_.respond(client, ctx, reply);
   }
   co_return reply;
 }
@@ -375,39 +278,10 @@ sim::Task<HawkeyeReply> Manager::lookup_agent(net::Interface& client,
                                               std::string machine,
                                               std::string* address_out,
                                               trace::Ctx ctx) {
-  auto& sim = host_.simulation();
-  {
-    trace::Span tool(ctx, trace::SpanKind::ClientTool);
-    co_await sim.delay(config_.client_tool_latency);
-  }
-  if (!co_await net_.connect(client, nic_, ctx, config_.connect_timeout)) {
-    if (ctx) ctx.col->instant(ctx, trace::SpanKind::Timeout, "manager");
-    HawkeyeReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-  auto admission = co_await port_.admit(config_.connect_timeout);
-  if (admission != net::Admission::Ok) {
-    HawkeyeReply reply;
-    reply.timed_out = admission == net::Admission::TimedOut;
-    if (ctx) {
-      ctx.col->instant(ctx,
-                       reply.timed_out ? trace::SpanKind::Timeout
-                                       : trace::SpanKind::Refused,
-                       "manager");
-    }
-    co_return reply;
-  }
-  net::AdmissionSlot slot(&port_);
-  if (!co_await net_.transfer(client, nic_, config_.request_bytes, ctx,
-                              trace::SpanKind::RequestSend,
-                              config_.connect_timeout)) {
-    HawkeyeReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-
   HawkeyeReply reply;
+  net::AdmissionSlot slot =
+      co_await exchange_.open(client, config_.request_bytes, ctx, reply);
+  if (!slot) co_return reply;
   {
     trace::Span wait(ctx, trace::SpanKind::PoolWait, "manager");
     auto lease = co_await thread_.acquire();
@@ -423,11 +297,7 @@ sim::Task<HawkeyeReply> Manager::lookup_agent(net::Interface& client,
     }
     reply.response_bytes = 256;
     reply.admitted = true;
-    if (!co_await net_.transfer(nic_, client, reply.response_bytes, ctx,
-                                trace::SpanKind::ResponseSend,
-                                config_.connect_timeout)) {
-      reply.timed_out = true;
-    }
+    co_await exchange_.respond(client, ctx, reply);
   }
   co_return reply;
 }

@@ -28,13 +28,10 @@
 
 namespace gridmon::hawkeye {
 
-struct HawkeyeReply {
-  bool admitted = false;
+/// `failed`: collection failed (hung module); `stale`: every resident ad
+/// is older than stale_after.
+struct HawkeyeReply : net::Outcome {
   std::size_t machines = 0;  // machines covered by the reply
-  double response_bytes = 0;
-  bool timed_out = false;  // connect or transfer gave up on a dead path
-  bool failed = false;     // admitted but collection failed (hung module)
-  bool stale = false;      // every resident ad is older than stale_after
 };
 
 struct ManagerConfig {
@@ -200,6 +197,8 @@ class Manager : private store::Durable {
   ManagerConfig config_;
   sim::Resource thread_;
   net::ServerPort port_;
+  net::Exchange exchange_{net_, nic_, port_, config_.client_tool_latency,
+                          config_.connect_timeout, "manager"};
   // The indexed resident database: machine name -> latest Startd ad.
   std::map<std::string, AdEntry> ads_;
   std::vector<Trigger> triggers_;

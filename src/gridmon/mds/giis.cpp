@@ -260,40 +260,12 @@ sim::Task<MdsReply> Giis::query(net::Interface& client, QueryScope scope,
 
 sim::Task<MdsReply> Giis::search(net::Interface& client,
                                  SearchRequest request, trace::Ctx ctx) {
-  auto& sim = host_.simulation();
-  {
-    trace::Span tool(ctx, trace::SpanKind::ClientTool);
-    co_await sim.delay(config_.client_tool_latency);
-  }
-  if (!co_await net_.connect(client, nic_, ctx, config_.connect_timeout)) {
-    if (ctx) ctx.col->instant(ctx, trace::SpanKind::Timeout, name_);
-    MdsReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-  auto admission = co_await port_.admit(config_.connect_timeout);
-  if (admission != net::Admission::Ok) {
-    MdsReply reply;
-    reply.timed_out = admission == net::Admission::TimedOut;
-    if (ctx) {
-      ctx.col->instant(ctx,
-                       reply.timed_out ? trace::SpanKind::Timeout
-                                       : trace::SpanKind::Refused,
-                       name_);
-    }
-    co_return reply;
-  }
-  net::AdmissionSlot slot(&port_);
-  if (!co_await net_.transfer(
-          client, nic_,
-          config_.request_bytes + static_cast<double>(request.filter.size()),
-          ctx, trace::SpanKind::RequestSend, config_.connect_timeout)) {
-    MdsReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-
   MdsReply reply;
+  net::AdmissionSlot slot = co_await exchange_.open(
+      client,
+      config_.request_bytes + static_cast<double>(request.filter.size()),
+      ctx, reply);
+  if (!slot) co_return reply;
   {
     trace::Span wait(ctx, trace::SpanKind::PoolWait, name_);
     auto lease = co_await pool_.acquire();
@@ -320,38 +292,17 @@ sim::Task<MdsReply> Giis::search(net::Interface& client,
     reply.admitted = true;
     reply.payload = std::move(result.entries);
   }
-  if (!co_await net_.transfer(nic_, client, reply.response_bytes, ctx,
-                              trace::SpanKind::ResponseSend,
-                              config_.connect_timeout)) {
-    reply.timed_out = true;
-  }
+  co_await exchange_.respond(client, ctx, reply);
   co_return reply;
 }
 
 sim::Task<MdsReply> Giis::fetch(net::Interface& requester, trace::Ctx ctx) {
   trace::Span span(ctx, trace::SpanKind::Fetch, name_);
-  if (!co_await net_.connect(requester, nic_, span.ctx(),
-                             config_.connect_timeout)) {
-    MdsReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-  auto admission = co_await port_.admit(config_.connect_timeout);
-  if (admission != net::Admission::Ok) {
-    MdsReply reply;
-    reply.timed_out = admission == net::Admission::TimedOut;
-    co_return reply;
-  }
-  net::AdmissionSlot slot(&port_);
-  if (!co_await net_.transfer(requester, nic_, config_.request_bytes,
-                              span.ctx(), trace::SpanKind::RequestSend,
-                              config_.connect_timeout)) {
-    MdsReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-
   MdsReply reply;
+  net::AdmissionSlot slot = co_await exchange_.open(
+      requester, config_.request_bytes, span.ctx(), reply,
+      /*client_tool=*/false);
+  if (!slot) co_return reply;
   {
     trace::Span wait(span.ctx(), trace::SpanKind::PoolWait, name_);
     auto lease = co_await pool_.acquire();
@@ -378,11 +329,7 @@ sim::Task<MdsReply> Giis::fetch(net::Interface& requester, trace::Ctx ctx) {
     reply.payload = std::move(result.entries);
     reply.admitted = true;
   }
-  if (!co_await net_.transfer(nic_, requester, reply.response_bytes,
-                              span.ctx(), trace::SpanKind::ResponseSend,
-                              config_.connect_timeout)) {
-    reply.timed_out = true;
-  }
+  co_await exchange_.respond(requester, span.ctx(), reply);
   co_return reply;
 }
 

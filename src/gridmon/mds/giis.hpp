@@ -169,6 +169,8 @@ class Giis final : public MdsNode {
   sim::Event refresh_done_;
   sim::Resource pool_;
   net::ServerPort port_;
+  net::Exchange exchange_{net_, nic_, port_, config_.client_tool_latency,
+                          config_.connect_timeout, name_};
   std::uint64_t registrations_ = 0;
   resilience::Config resilience_{};
   std::map<std::string, resilience::CircuitBreaker> fetch_breakers_;

@@ -169,127 +169,44 @@ sim::Task<MdsReply> Gris::serve_filter(QueryScope refresh_scope,
 
 sim::Task<MdsReply> Gris::search(net::Interface& client,
                                  SearchRequest request, trace::Ctx ctx) {
-  auto& sim = host_.simulation();
-  {
-    trace::Span tool(ctx, trace::SpanKind::ClientTool);
-    co_await sim.delay(config_.client_tool_latency);
-  }
-  if (!co_await net_.connect(client, nic_, ctx, config_.connect_timeout)) {
-    if (ctx) ctx.col->instant(ctx, trace::SpanKind::Timeout, name_);
-    MdsReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-  auto admission = co_await port_.admit(config_.connect_timeout);
-  if (admission != net::Admission::Ok) {
-    MdsReply reply;
-    reply.timed_out = admission == net::Admission::TimedOut;
-    if (ctx) {
-      ctx.col->instant(ctx,
-                       reply.timed_out ? trace::SpanKind::Timeout
-                                       : trace::SpanKind::Refused,
-                       name_);
-    }
-    co_return reply;
-  }
-  net::AdmissionSlot slot(&port_);
-  if (!co_await net_.transfer(
-          client, nic_,
-          config_.request_bytes + static_cast<double>(request.filter.size()),
-          ctx, trace::SpanKind::RequestSend, config_.connect_timeout)) {
-    MdsReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-
+  MdsReply reply;
+  net::AdmissionSlot slot = co_await exchange_.open(
+      client,
+      config_.request_bytes + static_cast<double>(request.filter.size()),
+      ctx, reply);
+  if (!slot) co_return reply;
   auto filter = ldap::Filter::parse(request.filter);
-  MdsReply reply = co_await serve_filter(QueryScope::All, *filter,
-                                         std::move(request.attributes),
-                                         request.size_limit, ctx);
+  reply = co_await serve_filter(QueryScope::All, *filter,
+                                std::move(request.attributes),
+                                request.size_limit, ctx);
   reply.admitted = true;
-  if (!co_await net_.transfer(nic_, client, reply.response_bytes, ctx,
-                              trace::SpanKind::ResponseSend,
-                              config_.connect_timeout)) {
-    reply.timed_out = true;
-  }
+  co_await exchange_.respond(client, ctx, reply);
   co_return reply;
 }
 
 sim::Task<MdsReply> Gris::query(net::Interface& client, QueryScope scope,
                                 trace::Ctx ctx) {
-  auto& sim = host_.simulation();
-  // Client tool startup + GSI authentication.
-  {
-    trace::Span tool(ctx, trace::SpanKind::ClientTool);
-    co_await sim.delay(config_.client_tool_latency);
-  }
-  if (!co_await net_.connect(client, nic_, ctx, config_.connect_timeout)) {
-    if (ctx) ctx.col->instant(ctx, trace::SpanKind::Timeout, name_);
-    MdsReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-  auto admission = co_await port_.admit(config_.connect_timeout);
-  if (admission != net::Admission::Ok) {
-    MdsReply reply;
-    reply.timed_out = admission == net::Admission::TimedOut;
-    if (ctx) {
-      ctx.col->instant(ctx,
-                       reply.timed_out ? trace::SpanKind::Timeout
-                                       : trace::SpanKind::Refused,
-                       name_);
-    }
-    co_return reply;  // connection refused or SYNs swallowed
-  }
-  net::AdmissionSlot slot(&port_);
-  if (!co_await net_.transfer(client, nic_, config_.request_bytes, ctx,
-                              trace::SpanKind::RequestSend,
-                              config_.connect_timeout)) {
-    MdsReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-
-  MdsReply reply = co_await serve(scope, ctx);
+  // Client tool startup + GSI authentication, connect, admission.
+  MdsReply reply;
+  net::AdmissionSlot slot =
+      co_await exchange_.open(client, config_.request_bytes, ctx, reply);
+  if (!slot) co_return reply;
+  reply = co_await serve(scope, ctx);
   reply.admitted = true;
-
-  if (!co_await net_.transfer(nic_, client, reply.response_bytes, ctx,
-                              trace::SpanKind::ResponseSend,
-                              config_.connect_timeout)) {
-    reply.timed_out = true;
-  }
+  co_await exchange_.respond(client, ctx, reply);
   co_return reply;
 }
 
 sim::Task<MdsReply> Gris::fetch(net::Interface& requester, trace::Ctx ctx) {
   trace::Span span(ctx, trace::SpanKind::Fetch, name_);
-  if (!co_await net_.connect(requester, nic_, span.ctx(),
-                             config_.connect_timeout)) {
-    MdsReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-  auto admission = co_await port_.admit(config_.connect_timeout);
-  if (admission != net::Admission::Ok) {
-    MdsReply reply;
-    reply.timed_out = admission == net::Admission::TimedOut;
-    co_return reply;
-  }
-  net::AdmissionSlot slot(&port_);
-  if (!co_await net_.transfer(requester, nic_, config_.request_bytes,
-                              span.ctx(), trace::SpanKind::RequestSend,
-                              config_.connect_timeout)) {
-    MdsReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-  MdsReply reply = co_await serve(QueryScope::All, span.ctx());
+  MdsReply reply;
+  net::AdmissionSlot slot = co_await exchange_.open(
+      requester, config_.request_bytes, span.ctx(), reply,
+      /*client_tool=*/false);
+  if (!slot) co_return reply;
+  reply = co_await serve(QueryScope::All, span.ctx());
   reply.admitted = true;
-  if (!co_await net_.transfer(nic_, requester, reply.response_bytes,
-                              span.ctx(), trace::SpanKind::ResponseSend,
-                              config_.connect_timeout)) {
-    reply.timed_out = true;
-  }
+  co_await exchange_.respond(requester, span.ctx(), reply);
   co_return reply;
 }
 

@@ -36,15 +36,11 @@ struct SearchRequest {
   std::size_t size_limit = 0;           // 0: unlimited
 };
 
-/// Result of one client query attempt.
-struct MdsReply {
-  bool admitted = false;        // false: connection refused, retry later
-  std::size_t entries = 0;      // entries returned
-  double response_bytes = 0;
+/// Result of one client query attempt. `failed`: the backend could not
+/// collect; `stale`: served from an expired cache (collector down).
+struct MdsReply : net::Outcome {
+  std::size_t entries = 0;  // entries returned
   bool cache_hit = true;
-  bool timed_out = false;  // connect or transfer gave up on a dead path
-  bool failed = false;     // admitted but the backend could not collect
-  bool stale = false;      // served from an expired cache (collector down)
   /// The entries themselves (consumed by a GIIS merging a fetch; plain
   /// clients can ignore it).
   std::vector<ldap::Entry> payload;
@@ -207,6 +203,8 @@ class Gris final : public MdsNode {
   ldap::Dit dit_;
   sim::Resource pool_;
   net::ServerPort port_;
+  net::Exchange exchange_{net_, nic_, port_, config_.client_tool_latency,
+                          config_.connect_timeout, name_};
   std::uint64_t provider_runs_ = 0;
   bool collectors_down_ = false;
   resilience::Config resilience_{};

@@ -25,9 +25,11 @@
 #include <coroutine>
 #include <cstdint>
 #include <limits>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "gridmon/net/network.hpp"
 #include "gridmon/resilience/policy.hpp"
 #include "gridmon/sim/event.hpp"
 #include "gridmon/sim/simulation.hpp"
@@ -272,6 +274,9 @@ class AdmissionSlot {
   AdmissionSlot& operator=(const AdmissionSlot&) = delete;
   ~AdmissionSlot() { release(); }
 
+  /// True while the slot is held.
+  explicit operator bool() const noexcept { return port_ != nullptr; }
+
   void release() noexcept {
     if (port_ != nullptr) {
       port_->release();
@@ -281,6 +286,119 @@ class AdmissionSlot {
 
  private:
   ServerPort* port_ = nullptr;
+};
+
+/// How one query attempt ended, as the client sees it. Every service
+/// reply (MdsReply, HawkeyeReply, RgmaReply) extends it, and the
+/// workloads read it as is.
+struct Outcome {
+  bool admitted = false;  // false: refused or timed out, retry later
+  double response_bytes = 0;
+  bool timed_out = false;  // a connect/transfer deadline expired on the way
+  bool failed = false;     // admitted, but the service could not answer
+  bool stale = false;      // answered from data older than the service's bound
+};
+
+/// The client side of a request, written once for every service (paper
+/// §3.1): the query tool starts, connects, is admitted or refused by the
+/// listen queue and uploads its request; after the server's work the
+/// reply travels back. Each step records a failure in the caller's
+/// Outcome (`timed_out`, or a refusal when it stays false) and emits the
+/// trace instant that failure carries. The steps are awaited in place,
+/// so they schedule the same events in the same order as the protocol
+/// written inline: starting a Task is a symmetric transfer, not an event.
+class Exchange {
+ public:
+  /// `timeout` bounds every connect, admission and transfer on a dead
+  /// path; `name` labels the Refused/Timeout trace instants.
+  Exchange(Network& net, Interface& nic, ServerPort& port,
+           double tool_latency, double timeout, std::string_view name)
+      : net_(net),
+        nic_(nic),
+        port_(port),
+        tool_latency_(tool_latency),
+        timeout_(timeout),
+        name_(name) {}
+  Exchange(const Exchange&) = delete;
+  Exchange& operator=(const Exchange&) = delete;
+
+  /// Connect, admission and the `request_bytes` upload, after the client
+  /// tool starts. Returns the held admission slot; an empty slot means
+  /// the attempt is over and `out` says how. A server-to-server fetch
+  /// passes `client_tool` false: no tool startup and no trace instants.
+  sim::Task<AdmissionSlot> open(Interface& client, double request_bytes,
+                                trace::Ctx ctx, Outcome& out,
+                                bool client_tool = true) {
+    // Every await is a plain initializer: GCC 12 miscompiles some
+    // coroutines that await inside an if condition or a && operand.
+    bool connected = co_await dial(client, ctx, out, client_tool);
+    if (!connected) co_return AdmissionSlot{};
+    AdmissionSlot slot = co_await admit(ctx, out, client_tool);
+    if (!slot) co_return slot;
+    bool sent = co_await upload(client, request_bytes, ctx);
+    if (!sent) {
+      out.timed_out = true;
+      slot.release();
+    }
+    co_return slot;
+  }
+
+  /// Tool startup and the TCP connect. False, with `out.timed_out` set,
+  /// when the SYNs go unanswered.
+  sim::Task<bool> dial(Interface& client, trace::Ctx ctx, Outcome& out,
+                       bool client_tool = true) {
+    if (client_tool) {
+      trace::Span tool(ctx, trace::SpanKind::ClientTool);
+      co_await net_.simulation().delay(tool_latency_);
+    }
+    bool connected = co_await net_.connect(client, nic_, ctx, timeout_);
+    if (!connected) {
+      if (ctx && client_tool) {
+        ctx.col->instant(ctx, trace::SpanKind::Timeout, name_);
+      }
+      out.timed_out = true;
+    }
+    co_return connected;
+  }
+
+  /// The listen queue's verdict: the held slot, or an empty one with
+  /// `out.timed_out` telling a blackholed host from a refusal.
+  sim::Task<AdmissionSlot> admit(trace::Ctx ctx, Outcome& out,
+                                 bool client_tool = true) {
+    Admission admission = co_await port_.admit(timeout_);
+    if (admission == Admission::Ok) co_return AdmissionSlot(&port_);
+    out.timed_out = admission == Admission::TimedOut;
+    if (ctx && client_tool) {
+      ctx.col->instant(ctx,
+                       out.timed_out ? trace::SpanKind::Timeout
+                                     : trace::SpanKind::Refused,
+                       name_);
+    }
+    co_return AdmissionSlot{};
+  }
+
+  /// The request upload; false when it stalls past the timeout.
+  sim::Task<bool> upload(Interface& client, double request_bytes,
+                         trace::Ctx ctx) {
+    return net_.transfer(client, nic_, request_bytes, ctx,
+                         trace::SpanKind::RequestSend, timeout_);
+  }
+
+  /// Send the `out.response_bytes` reply back to the client.
+  sim::Task<void> respond(Interface& client, trace::Ctx ctx, Outcome& out) {
+    bool sent = co_await net_.transfer(nic_, client, out.response_bytes, ctx,
+                                       trace::SpanKind::ResponseSend,
+                                       timeout_);
+    if (!sent) out.timed_out = true;
+  }
+
+ private:
+  Network& net_;
+  Interface& nic_;
+  ServerPort& port_;
+  double tool_latency_;
+  double timeout_;
+  std::string_view name_;
 };
 
 }  // namespace gridmon::net

@@ -42,38 +42,10 @@ sim::Task<RgmaReply> ConsumerServlet::query(net::Interface& client,
                                             std::string where,
                                             trace::Ctx ctx) {
   auto& sim = host_.simulation();
-  {
-    trace::Span tool(ctx, trace::SpanKind::ClientTool);
-    co_await sim.delay(config_.client_latency);
-  }
-  if (!co_await net_.connect(client, nic_, ctx, config_.connect_timeout)) {
-    if (ctx) ctx.col->instant(ctx, trace::SpanKind::Timeout, name_);
-    RgmaReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-  auto admission = co_await port_.admit(config_.connect_timeout);
-  if (admission != net::Admission::Ok) {
-    RgmaReply reply;
-    reply.timed_out = admission == net::Admission::TimedOut;
-    if (ctx) {
-      ctx.col->instant(ctx,
-                       reply.timed_out ? trace::SpanKind::Timeout
-                                       : trace::SpanKind::Refused,
-                       name_);
-    }
-    co_return reply;
-  }
-  net::AdmissionSlot slot(&port_);
-  if (!co_await net_.transfer(client, nic_, config_.request_bytes, ctx,
-                              trace::SpanKind::RequestSend,
-                              config_.connect_timeout)) {
-    RgmaReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-
   RgmaReply reply;
+  net::AdmissionSlot slot =
+      co_await exchange_.open(client, config_.request_bytes, ctx, reply);
+  if (!slot) co_return reply;
   {
     trace::Span wait(ctx, trace::SpanKind::PoolWait, name_);
     auto lease = co_await pool_.acquire();
@@ -126,11 +98,7 @@ sim::Task<RgmaReply> ConsumerServlet::query(net::Interface& client,
     reply.admitted = true;
     if (reply.rows > 0) reply.failed = false;  // partial results still count
   }
-  if (!co_await net_.transfer(nic_, client, reply.response_bytes, ctx,
-                              trace::SpanKind::ResponseSend,
-                              config_.connect_timeout)) {
-    reply.timed_out = true;
-  }
+  co_await exchange_.respond(client, ctx, reply);
   co_return reply;
 }
 

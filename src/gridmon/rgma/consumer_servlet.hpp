@@ -98,6 +98,8 @@ class ConsumerServlet {
   std::map<std::string, ProducerServlet*> servlets_;
   sim::Resource pool_;
   net::ServerPort port_;
+  net::Exchange exchange_{net_, nic_, port_, config_.client_latency,
+                          config_.connect_timeout, name_};
   resilience::Config resilience_{};
   std::map<std::string, resilience::CircuitBreaker> producer_breakers_;
 };

@@ -79,29 +79,17 @@ sim::Task<RgmaReply> ProducerServlet::select(net::Interface& from,
                                              std::string where,
                                              trace::Ctx ctx) {
   trace::Span op(ctx, trace::SpanKind::ProducerSelect, name_);
-  if (!co_await net_.transfer(from, nic_, config_.request_bytes, op.ctx(),
-                              trace::SpanKind::RequestSend,
-                              config_.connect_timeout)) {
+  // The request is uploaded before the listen queue admits it.
+  RgmaReply reply;
+  bool sent = co_await exchange_.upload(from, config_.request_bytes,
+                                       op.ctx());
+  if (!sent) {
     if (ctx) ctx.col->instant(ctx, trace::SpanKind::Timeout, name_);
-    RgmaReply reply;
     reply.timed_out = true;
     co_return reply;
   }
-  auto admission = co_await port_.admit(config_.connect_timeout);
-  if (admission != net::Admission::Ok) {
-    RgmaReply reply;
-    reply.timed_out = admission == net::Admission::TimedOut;
-    if (ctx) {
-      ctx.col->instant(ctx,
-                       reply.timed_out ? trace::SpanKind::Timeout
-                                       : trace::SpanKind::Refused,
-                       name_);
-    }
-    co_return reply;
-  }
-  net::AdmissionSlot slot(&port_);
-
-  RgmaReply reply;
+  net::AdmissionSlot slot = co_await exchange_.admit(ctx, reply);
+  if (!slot) co_return reply;
   {
     trace::Span wait(op.ctx(), trace::SpanKind::PoolWait, name_);
     auto lease = co_await pool_.acquire();
@@ -152,11 +140,7 @@ sim::Task<RgmaReply> ProducerServlet::select(net::Interface& from,
       reply.stale = true;
     }
   }
-  if (!co_await net_.transfer(nic_, from, reply.response_bytes, op.ctx(),
-                              trace::SpanKind::ResponseSend,
-                              config_.connect_timeout)) {
-    reply.timed_out = true;
-  }
+  co_await exchange_.respond(from, op.ctx(), reply);
   co_return reply;
 }
 
@@ -164,16 +148,9 @@ sim::Task<RgmaReply> ProducerServlet::client_query(net::Interface& client,
                                                    std::string table,
                                                    std::string where,
                                                    trace::Ctx ctx) {
-  {
-    trace::Span tool(ctx, trace::SpanKind::ClientTool);
-    co_await host_.simulation().delay(config_.client_latency);
-  }
-  if (!co_await net_.connect(client, nic_, ctx, config_.connect_timeout)) {
-    if (ctx) ctx.col->instant(ctx, trace::SpanKind::Timeout, name_);
-    RgmaReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
+  RgmaReply reply;
+  bool connected = co_await exchange_.dial(client, ctx, reply);
+  if (!connected) co_return reply;
   co_return co_await select(client, table, where, ctx);
 }
 

@@ -198,6 +198,8 @@ class ProducerServlet {
   std::vector<Subscription> subscriptions_;
   sim::Resource pool_;
   net::ServerPort port_;
+  net::Exchange exchange_{net_, nic_, port_, config_.client_latency,
+                          config_.connect_timeout, name_};
   bool registering_ = false;
   bool publishing_ = false;
   bool publishers_down_ = false;

@@ -147,39 +147,10 @@ sim::Task<std::vector<ProducerInfo>> Registry::lookup(
 sim::Task<RgmaReply> Registry::client_query(net::Interface& client,
                                             std::string table,
                                             trace::Ctx ctx) {
-  auto& sim = host_.simulation();
-  {
-    trace::Span tool(ctx, trace::SpanKind::ClientTool);
-    co_await sim.delay(config_.client_latency);
-  }
-  if (!co_await net_.connect(client, nic_, ctx, config_.connect_timeout)) {
-    if (ctx) ctx.col->instant(ctx, trace::SpanKind::Timeout, "registry");
-    RgmaReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-  auto admission = co_await port_.admit(config_.connect_timeout);
-  if (admission != net::Admission::Ok) {
-    RgmaReply reply;
-    reply.timed_out = admission == net::Admission::TimedOut;
-    if (ctx) {
-      ctx.col->instant(ctx,
-                       reply.timed_out ? trace::SpanKind::Timeout
-                                       : trace::SpanKind::Refused,
-                       "registry");
-    }
-    co_return reply;
-  }
-  net::AdmissionSlot slot(&port_);
-  if (!co_await net_.transfer(client, nic_, config_.request_bytes, ctx,
-                              trace::SpanKind::RequestSend,
-                              config_.connect_timeout)) {
-    RgmaReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-
   RgmaReply reply;
+  net::AdmissionSlot slot =
+      co_await exchange_.open(client, config_.request_bytes, ctx, reply);
+  if (!slot) co_return reply;
   {
     trace::Span wait(ctx, trace::SpanKind::PoolWait, "registry");
     auto lease = co_await pool_.acquire();
@@ -199,11 +170,7 @@ sim::Task<RgmaReply> Registry::client_query(net::Interface& client,
         128 + config_.row_bytes * static_cast<double>(result.rows.size());
     reply.admitted = true;
   }
-  if (!co_await net_.transfer(nic_, client, reply.response_bytes, ctx,
-                              trace::SpanKind::ResponseSend,
-                              config_.connect_timeout)) {
-    reply.timed_out = true;
-  }
+  co_await exchange_.respond(client, ctx, reply);
   co_return reply;
 }
 

@@ -23,13 +23,9 @@
 
 namespace gridmon::rgma {
 
-struct RgmaReply {
-  bool admitted = false;
+/// `stale`: the rows predate the last publisher activity gap.
+struct RgmaReply : net::Outcome {
   std::size_t rows = 0;
-  double response_bytes = 0;
-  bool timed_out = false;  // connect or transfer gave up on a dead path
-  bool failed = false;     // admitted but the backend could not answer
-  bool stale = false;      // rows predate the last publisher activity gap
 };
 
 struct ProducerInfo {
@@ -134,6 +130,8 @@ class Registry {
   rdbms::Database db_;
   sim::Resource pool_;
   net::ServerPort port_;
+  net::Exchange exchange_{net_, nic_, port_, config_.client_latency,
+                          config_.connect_timeout, "registry"};
   std::uint64_t registrations_ = 0;
   std::unique_ptr<store::TableStore> store_;
   std::size_t rows_at_crash_ = 0;

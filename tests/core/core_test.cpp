@@ -56,8 +56,8 @@ TEST(TestbedTest, NoLucky2) {
 
 TEST(WorkloadTest, SpawnCapsUsersPerHost) {
   Testbed tb;
-  QueryFn noop = [](net::Interface&) -> sim::Task<QueryAttempt> {
-    co_return QueryAttempt{true, 100};
+  QueryFn noop = [](net::Interface&) -> sim::Task<net::Outcome> {
+    co_return net::Outcome{true, 100};
   };
   UserWorkload w(tb, noop);
   EXPECT_THROW(w.spawn_users(51, {"uc01"}), std::invalid_argument);
@@ -68,8 +68,8 @@ TEST(WorkloadTest, SpawnCapsUsersPerHost) {
 TEST(WorkloadTest, ThinkTimePacesQueries) {
   Testbed tb;
   // Instant service: each user completes ~1 query per think period.
-  QueryFn instant = [](net::Interface&) -> sim::Task<QueryAttempt> {
-    co_return QueryAttempt{true, 0};
+  QueryFn instant = [](net::Interface&) -> sim::Task<net::Outcome> {
+    co_return net::Outcome{true, 0};
   };
   WorkloadConfig config;
   config.client_cpu_per_query = 0;
@@ -84,9 +84,9 @@ TEST(WorkloadTest, ThinkTimePacesQueries) {
 
 TEST(WorkloadTest, ResponseTimeIncludesServiceDelay) {
   Testbed tb;
-  QueryFn slow = [&tb](net::Interface&) -> sim::Task<QueryAttempt> {
+  QueryFn slow = [&tb](net::Interface&) -> sim::Task<net::Outcome> {
     co_await tb.sim().delay(3.0);
-    co_return QueryAttempt{true, 0};
+    co_return net::Outcome{true, 0};
   };
   WorkloadConfig config;
   config.client_cpu_per_query = 0;
@@ -102,9 +102,9 @@ TEST(WorkloadTest, RefusalsTriggerBackoffAndRetry) {
   Testbed tb;
   int attempts = 0;
   // Refuse the first two attempts of every query.
-  QueryFn flaky = [&attempts](net::Interface&) -> sim::Task<QueryAttempt> {
+  QueryFn flaky = [&attempts](net::Interface&) -> sim::Task<net::Outcome> {
     ++attempts;
-    co_return QueryAttempt{attempts % 3 == 0, 0};
+    co_return net::Outcome{attempts % 3 == 0, 0};
   };
   WorkloadConfig config;
   config.client_cpu_per_query = 0;

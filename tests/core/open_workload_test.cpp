@@ -10,8 +10,8 @@ namespace {
 
 TEST(OpenWorkloadTest, ArrivalRateIsHonored) {
   Testbed tb;
-  QueryFn instant = [](net::Interface&) -> sim::Task<QueryAttempt> {
-    co_return QueryAttempt{true, 0};
+  QueryFn instant = [](net::Interface&) -> sim::Task<net::Outcome> {
+    co_return net::Outcome{true, 0};
   };
   OpenWorkloadConfig config;
   config.arrival_rate = 20.0;
@@ -24,9 +24,9 @@ TEST(OpenWorkloadTest, ArrivalRateIsHonored) {
 
 TEST(OpenWorkloadTest, ResponseTimeMeasured) {
   Testbed tb;
-  QueryFn slow = [&tb](net::Interface&) -> sim::Task<QueryAttempt> {
+  QueryFn slow = [&tb](net::Interface&) -> sim::Task<net::Outcome> {
     co_await tb.sim().delay(2.0);
-    co_return QueryAttempt{true, 0};
+    co_return net::Outcome{true, 0};
   };
   OpenWorkloadConfig config;
   config.arrival_rate = 3.0;
@@ -40,8 +40,8 @@ TEST(OpenWorkloadTest, ResponseTimeMeasured) {
 
 TEST(OpenWorkloadTest, GivesUpAfterMaxRetries) {
   Testbed tb;
-  QueryFn always_refused = [](net::Interface&) -> sim::Task<QueryAttempt> {
-    co_return QueryAttempt{false, 0};
+  QueryFn always_refused = [](net::Interface&) -> sim::Task<net::Outcome> {
+    co_return net::Outcome{false, 0};
   };
   OpenWorkloadConfig config;
   config.arrival_rate = 1.0;
@@ -61,10 +61,10 @@ TEST(OpenWorkloadTest, OverloadGrowsOutstandingQueue) {
   // count must grow roughly linearly with time (no self-throttling).
   Testbed tb;
   sim::Resource server(tb.sim(), 1);
-  QueryFn one_at_a_time = [&](net::Interface&) -> sim::Task<QueryAttempt> {
+  QueryFn one_at_a_time = [&](net::Interface&) -> sim::Task<net::Outcome> {
     auto lease = co_await server.acquire();
     co_await tb.sim().delay(1.0);
-    co_return QueryAttempt{true, 0};
+    co_return net::Outcome{true, 0};
   };
   OpenWorkloadConfig config;
   config.arrival_rate = 3.0;

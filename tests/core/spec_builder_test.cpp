@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gridmon/core/scenario_spec.hpp"
@@ -145,6 +146,58 @@ TEST(SpecBuilderTest, SeededFromExistingSpecPreset) {
   EXPECT_EQ(spec.service, ServiceKind::Agent);
   EXPECT_EQ(spec.collectors, 11);
   EXPECT_EQ(spec.seed, 9u);
+}
+
+/// The message `set(section, key, value)` records, or "" when it parses.
+std::string integer_key_error(const std::string& section,
+                              const std::string& key,
+                              const std::string& value) {
+  SpecBuilder b;
+  b.set("experiment", "service", "gris");
+  b.set(section, key, value);
+  try {
+    b.build();
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SpecBuilderTest, IntegerKeysRejectFractionsExponentsAndOverflow) {
+  const std::vector<std::pair<std::string, std::string>> keys{
+      {"experiment", "seed"}, {"faults", "max_attempts"}, {"engine", "shards"}};
+  for (const auto& [section, key] : keys) {
+    const std::string tag = "[" + section + "] " + key + ":";
+    for (const std::string value :
+         {"2.9", "1e30", "1e12", "-1", "0x10", "abc", ""}) {
+      std::string msg = integer_key_error(section, key, value);
+      EXPECT_NE(msg.find(tag), std::string::npos)
+          << tag << " '" << value << "' gave: " << msg;
+    }
+  }
+  // In range for seed (uint64), out of range for the int keys.
+  EXPECT_EQ(integer_key_error("experiment", "seed", "18446744073709551615"),
+            "");
+  EXPECT_NE(integer_key_error("experiment", "seed", "18446744073709551616"),
+            "");
+  EXPECT_NE(integer_key_error("faults", "max_attempts", "2147483648"), "");
+  EXPECT_NE(integer_key_error("engine", "shards", "2147483648"), "");
+}
+
+TEST(SpecBuilderTest, IntegerKeysParseWholeNumbers) {
+  ScenarioSpec spec = parse_scenario_spec(
+      "[experiment]\nservice = gris\nseed = 18446744073709551615\n"
+      "[faults]\nmax_attempts = 0\n[engine]\nshards = 0\n");
+  EXPECT_EQ(spec.seed, 18446744073709551615ULL);
+  EXPECT_EQ(spec.max_attempts, 0);
+  EXPECT_EQ(spec.engine.shards, 0);
+  spec = parse_scenario_spec(
+      "[experiment]\nservice = gris\nseed = 7\n[engine]\nshards = 3\n");
+  EXPECT_EQ(spec.seed, 7u);
+  EXPECT_EQ(spec.engine.shards, 3);
+  spec = parse_scenario_spec(
+      "[experiment]\nservice = gris\n[faults]\nmax_attempts = 5\n");
+  EXPECT_EQ(spec.max_attempts, 5);
 }
 
 TEST(SpecBuilderTest, WhereTagPrefixesIniErrors) {

@@ -366,8 +366,8 @@ TEST(ServerPort, DisabledPolicyNeverQueuesOrSheds) {
 
 TEST(OpenWorkloadConfig, RejectsScheduleShorterThanMaxRetries) {
   core::Testbed tb;
-  core::QueryFn noop = [](net::Interface&) -> sim::Task<core::QueryAttempt> {
-    co_return core::QueryAttempt{true, 0};
+  core::QueryFn noop = [](net::Interface&) -> sim::Task<net::Outcome> {
+    co_return net::Outcome{true, 0};
   };
   core::OpenWorkloadConfig cfg;
   cfg.max_retries = 5;
@@ -404,11 +404,11 @@ StormResult run_storm(bool resilient, std::uint64_t seed) {
   core::Testbed tb(tc);
   net::ServerPort port(tb.sim(), 6);
   core::QueryFn query =
-      [&tb, &port](net::Interface&) -> sim::Task<core::QueryAttempt> {
-    if (!port.try_admit()) co_return core::QueryAttempt{};
+      [&tb, &port](net::Interface&) -> sim::Task<net::Outcome> {
+    if (!port.try_admit()) co_return net::Outcome{};
     co_await tb.sim().delay(0.6);
     port.release();
-    co_return core::QueryAttempt{true, 0};
+    co_return net::Outcome{true, 0};
   };
   core::OpenWorkloadConfig cfg;
   // 80% utilization of the fault-free server, and clients patient enough
